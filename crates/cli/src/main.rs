@@ -537,7 +537,7 @@ fn stream_with<J: opa_core::api::Job>(job: J, args: &Args, input: &JobInput) -> 
 
     let watch = args.get::<u64>("watch-key").map(Key::from_u64);
     let top_k = args.get::<usize>("top-k");
-    let on_batch = |ctl: &mut opa_stream::BatchCtl<'_, '_>| {
+    let on_batch = |ctl: &mut opa_stream::BatchCtl| {
         let p = ctl.progress();
         print!(
             "batch {:>3}/{}  records {:>9}/{}  maps {:>4}/{}  t={:.1}s",

@@ -22,7 +22,9 @@
 //! whose γ ≥ φ are finalized from their partial in-memory state and their
 //! buckets skipped (approximate answers, §4.3).
 
-use super::{OutputSink, ReduceEnv, ReduceSide, ReducerCkpt, ReducerSizing, TopEntry, WORK_BATCH};
+use super::{
+    OutputSink, ReduceEnv, ReduceSide, ReducerCkpt, ReducerSizing, StateView, TopEntry, WORK_BATCH,
+};
 use crate::api::{IncrementalReducer, Job, ReduceCtx};
 use crate::cluster::ClusterSpec;
 use crate::map_phase::Payload;
@@ -35,6 +37,7 @@ use opa_common::{
 };
 use opa_freq::{MgEntry, MgOutcome, MisraGries, SpaceSavingMonitor};
 use opa_simio::BucketManager;
+use std::sync::Arc;
 
 /// [`ReducerCkpt::tag`] of the DINC-hash framework.
 pub(crate) const CKPT_TAG: u8 = 4;
@@ -60,7 +63,9 @@ pub enum MonitorKind {
     SpaceSaving,
 }
 
-/// Either monitor behind one interface.
+/// Either monitor behind one interface. Live readers share it through
+/// [`ReduceSide::view`]; the reducer writes through `Arc::make_mut`.
+#[derive(Clone)]
 enum Monitor {
     Frequent(MisraGries<Key, Value>),
     SpaceSaving(SpaceSavingMonitor<Key, Value>),
@@ -112,13 +117,6 @@ impl Monitor {
         match self {
             Monitor::Frequent(_) => MonitorKind::Frequent,
             Monitor::SpaceSaving(_) => MonitorKind::SpaceSaving,
-        }
-    }
-
-    fn get(&self, key: &Key) -> Option<MgEntry<Key, Value>> {
-        match self {
-            Monitor::Frequent(m) => m.get(key),
-            Monitor::SpaceSaving(m) => m.get(key),
         }
     }
 
@@ -174,12 +172,54 @@ impl Monitor {
     }
 }
 
+impl StateView for Monitor {
+    fn lookup(&self, key: &Key) -> Option<Value> {
+        match self {
+            Monitor::Frequent(m) => m.get(key),
+            Monitor::SpaceSaving(m) => m.get(key),
+        }
+        .map(|e| e.state)
+    }
+
+    fn top_entries(&self, k: usize) -> Option<(Vec<TopEntry>, f64)> {
+        let mut entries = self.entries();
+        // Stable sort: ties keep slot order, so the answer is deterministic.
+        entries.sort_by_key(|e| std::cmp::Reverse(e.count));
+        entries.truncate(k);
+        let slack = self.slack();
+        let gamma = entries
+            .iter()
+            .map(|e| e.t as f64 / (e.t as f64 + slack))
+            .fold(1.0f64, f64::min);
+        Some((
+            entries
+                .into_iter()
+                .map(|e| TopEntry {
+                    key: e.key,
+                    count: e.count,
+                    state: e.state,
+                })
+                .collect(),
+            gamma,
+        ))
+    }
+}
+
 /// One reduce task running the DINC-hash framework.
 pub struct DincHashReducer<'j> {
+    /// The monitor, shared copy-on-write with live views: one
+    /// `Arc::make_mut` per delivery, finish or restore, never one per
+    /// tuple.
+    monitor: Arc<Monitor>,
+    work: DincWork<'j>,
+}
+
+/// Everything of a DINC-hash reducer except its monitor: state no reader
+/// sees.
+struct DincWork<'j> {
     inc: &'j dyn IncrementalReducer,
     family: HashFamily,
     h3: HashFn,
-    monitor: Monitor,
     mem_budget: u64,
     write_buffer: u64,
     buckets: BucketManager<StatePair>,
@@ -215,7 +255,7 @@ impl<'j> DincHashReducer<'j> {
         let entry = sizing.state_size.max(1) + SLOT_OVERHEAD;
         let s = ((monitor_mem / entry) as usize).max(1);
         let expected = (sizing.expected_keys as usize).clamp(64, 1 << 22);
-        DincHashReducer {
+        let work = DincWork {
             admission: sizing.admission,
             sketch: sizing
                 .admission
@@ -225,7 +265,6 @@ impl<'j> DincHashReducer<'j> {
             inc,
             family: family.clone(),
             h3: family.fn_at(2),
-            monitor: Monitor::new(sizing.monitor, s),
             mem_budget: monitor_mem,
             write_buffer,
             buckets: BucketManager::new(h, write_buffer),
@@ -236,19 +275,25 @@ impl<'j> DincHashReducer<'j> {
                 slots_per_reducer: s as u64,
                 ..Default::default()
             },
+        };
+        DincHashReducer {
+            monitor: Arc::new(Monitor::new(sizing.monitor, s)),
+            work,
         }
     }
 
     /// Enables approximate early termination at coverage threshold `phi`.
     pub fn set_early_stop(&mut self, phi: f64) {
-        self.early_stop_coverage = Some(phi);
+        self.work.early_stop_coverage = Some(phi);
     }
 
     /// Monitor slot capacity `s`.
     pub fn slots(&self) -> usize {
         self.monitor.capacity()
     }
+}
 
+impl DincWork<'_> {
     fn stage(&mut self, t: SimTime, sp: StatePair, env: &mut ReduceEnv<'_>) -> SimTime {
         let b = self.h3.bucket(sp.key.bytes(), self.buckets.num_buckets());
         let op = self.buckets.push(b, sp);
@@ -288,6 +333,7 @@ impl<'j> DincHashReducer<'j> {
     #[allow(clippy::too_many_arguments)]
     fn reject_or_admit(
         &mut self,
+        monitor: &mut Monitor,
         mut t: SimTime,
         key: Key,
         state: Value,
@@ -301,7 +347,7 @@ impl<'j> DincHashReducer<'j> {
             let sketch = self.sketch.as_ref().expect("sketch exists when policy on");
             let h3 = &self.h3;
             let est_new = sketch.estimate(fp);
-            let outcome = self.monitor.replace_min_guarded(key, state, |k, s| {
+            let outcome = monitor.replace_min_guarded(key, state, |k, s| {
                 inc.can_evict(k, s, wm) && sketch.estimate(h3.hash(k.bytes())) < est_new
             });
             match outcome {
@@ -352,21 +398,23 @@ impl ReduceSide for DincHashReducer<'_> {
             unreachable!("DINC-hash receives key-state pairs");
         };
         env.shuffled(t, batch.bytes());
+        let monitor = Arc::make_mut(&mut self.monitor);
+        let w = &mut self.work;
         for sp in batch {
-            if let Some(ts) = self.inc.event_time(&sp.state) {
-                self.ctx.advance_watermark(ts);
+            if let Some(ts) = w.inc.event_time(&sp.state) {
+                w.ctx.advance_watermark(ts);
             }
-            let wm = self.ctx.watermark;
+            let wm = w.ctx.watermark;
             let sp_size = sp.size();
             let StatePair { key, state } = sp;
-            self.adm.offered += 1;
-            let fp = self.h3.hash(key.bytes());
-            if let Some(sk) = self.sketch.as_mut() {
+            w.adm.offered += 1;
+            let fp = w.h3.hash(key.bytes());
+            if let Some(sk) = w.sketch.as_mut() {
                 sk.touch(fp);
             }
-            let inc = self.inc;
-            let ctx = &mut self.ctx;
-            let outcome = self.monitor.offer_guarded(
+            let inc = w.inc;
+            let ctx = &mut w.ctx;
+            let outcome = monitor.offer_guarded(
                 key,
                 state,
                 |k, acc, other| inc.cb(k, acc, other, ctx),
@@ -374,24 +422,24 @@ impl ReduceSide for DincHashReducer<'_> {
             );
             match outcome {
                 MgOutcome::Combined => {
-                    self.adm.absorbed += 1;
+                    w.adm.absorbed += 1;
                     t = env.cpu(t, env.cost().cb_time(1) + env.cost().hash_time(1));
                     env.worked(t, 1);
-                    if self.ctx.pending() > 0 {
-                        let out = self.ctx.drain();
-                        t = self.sink.push(t, out, env);
+                    if w.ctx.pending() > 0 {
+                        let out = w.ctx.drain();
+                        t = w.sink.push(t, out, env);
                     }
                 }
                 MgOutcome::Installed { evicted } => {
-                    self.adm.absorbed += 1;
+                    w.adm.absorbed += 1;
                     t = env.cpu(t, env.cost().hash_time(1));
                     env.worked(t, 1);
                     if let Some(e) = evicted {
-                        t = self.handle_eviction(t, e.key, e.state, env);
+                        t = w.handle_eviction(t, e.key, e.state, env);
                     }
                 }
                 MgOutcome::Rejected { key, state } => {
-                    t = self.reject_or_admit(t, key, state, sp_size, fp, wm, env);
+                    t = w.reject_or_admit(monitor, t, key, state, sp_size, fp, wm, env);
                 }
             }
         }
@@ -399,42 +447,46 @@ impl ReduceSide for DincHashReducer<'_> {
     }
 
     fn dinc_stats(&self) -> Option<crate::metrics::DincStats> {
-        Some(self.stats)
+        Some(self.work.stats)
     }
 
     fn admission_stats(&self) -> Option<AdmissionStats> {
-        Some(self.adm)
+        Some(self.work.adm)
     }
 
     fn finish(&mut self, mut t: SimTime, env: &mut ReduceEnv<'_>) -> SimTime {
+        let w = &mut self.work;
         env.span_open();
-        self.stats.offered = self.monitor.offered();
-        let offered = self.monitor.offered();
-        let capacity = self.monitor.capacity();
-        let monitor = std::mem::replace(&mut self.monitor, Monitor::new(MonitorKind::Frequent, 1));
+        let monitor = std::mem::replace(
+            Arc::make_mut(&mut self.monitor),
+            Monitor::new(MonitorKind::Frequent, 1),
+        );
+        w.stats.offered = monitor.offered();
+        let offered = monitor.offered();
+        let capacity = monitor.capacity();
         let entries = monitor.drain();
-        self.adm.resident_keys = entries.len() as u64;
-        self.adm.resident_frequency = entries.iter().map(|e| e.t).sum();
+        w.adm.resident_keys = entries.len() as u64;
+        w.adm.resident_frequency = entries.iter().map(|e| e.t).sum();
 
         // Approximate early termination (§4.3): finalize monitored keys
         // whose coverage lower bound γ = t/(t + M/(s+1)) clears φ, skip
         // the disk-resident remainder entirely. φ = 1.0 demands full
         // coverage, which the bound can never certify while any slack
         // remains — that request is exact processing, handled below.
-        if let Some(phi) = self.early_stop_coverage.filter(|&phi| phi < 1.0) {
+        if let Some(phi) = w.early_stop_coverage.filter(|&phi| phi < 1.0) {
             let slack = offered as f64 / (capacity as f64 + 1.0);
             let mut finalized = 0u64;
             for e in entries {
                 let gamma = e.t as f64 / (e.t as f64 + slack);
                 if gamma >= phi {
-                    self.inc.finalize(&e.key, e.state, &mut self.ctx);
+                    w.inc.finalize(&e.key, e.state, &mut w.ctx);
                     finalized += 1;
                 }
             }
             t = env.cpu(t, env.cost().reduce_time(finalized));
-            let out = self.ctx.drain();
-            t = self.sink.push(t, out, env);
-            t = self.sink.flush(t, env);
+            let out = w.ctx.drain();
+            t = w.sink.push(t, out, env);
+            t = w.sink.flush(t, env);
             env.span_close(OpKind::Reduce);
             return t;
         }
@@ -443,27 +495,27 @@ impl ReduceSide for DincHashReducer<'_> {
         // The input is over, so every temporal construct (a session) is
         // closed by definition — advance the watermark past everything so
         // complete states go straight to output instead of disk.
-        if self.ctx.watermark.is_some() {
-            self.ctx.watermark = Some(u64::MAX);
+        if w.ctx.watermark.is_some() {
+            w.ctx.watermark = Some(u64::MAX);
         }
         for e in entries {
-            t = self.handle_eviction(t, e.key, e.state, env);
+            t = w.handle_eviction(t, e.key, e.state, env);
         }
 
         // …then process staged buckets exactly like INC-hash.
-        let op = self.buckets.seal();
+        let op = w.buckets.seal();
         t = env.spill(t, op);
-        for b in 0..self.buckets.num_buckets() {
-            let (recs, op) = self.buckets.take_bucket(b);
+        for b in 0..w.buckets.num_buckets() {
+            let (recs, op) = w.buckets.take_bucket(b);
             t = env.spill(t, op);
             if !recs.is_empty() {
                 t = process_bucket_inc(
-                    self.inc,
-                    &self.family,
-                    self.mem_budget,
-                    self.write_buffer,
-                    &mut self.ctx,
-                    &mut self.sink,
+                    w.inc,
+                    &w.family,
+                    w.mem_budget,
+                    w.write_buffer,
+                    &mut w.ctx,
+                    &mut w.sink,
                     t,
                     recs,
                     3,
@@ -471,7 +523,7 @@ impl ReduceSide for DincHashReducer<'_> {
                 );
             }
         }
-        t = self.sink.flush(t, env);
+        t = w.sink.flush(t, env);
         env.span_close(OpKind::Reduce);
         t
     }
@@ -485,49 +537,51 @@ impl ReduceSide for DincHashReducer<'_> {
     /// context emissions. Monitor capacity is derived from the (identical)
     /// sizing on restore.
     fn export_state(&self) -> Result<ReducerCkpt> {
-        let entries = self.monitor.entries();
+        let (w, monitor) = (&self.work, &self.monitor);
+        let entries = monitor.entries();
         let mut states = vec![entries
             .iter()
             .map(|e| StatePair::new(e.key.clone(), e.state.clone()))
             .collect::<Vec<_>>()];
-        states.extend(self.buckets.export_contents());
+        states.extend(w.buckets.export_contents());
         let mut nums = vec![
-            vec![self.monitor.offered()],
+            vec![monitor.offered()],
             entries.iter().map(|e| e.count).collect(),
             entries.iter().map(|e| e.t).collect(),
             vec![
-                self.stats.slots_per_reducer,
-                self.stats.offered,
-                self.stats.rejected,
-                self.stats.evict_output,
-                self.stats.evict_spilled,
+                w.stats.slots_per_reducer,
+                w.stats.offered,
+                w.stats.rejected,
+                w.stats.evict_output,
+                w.stats.evict_spilled,
             ],
             vec![
-                self.adm.offered,
-                self.adm.absorbed,
-                self.adm.admitted_evictions,
-                self.adm.rejected,
-                self.adm.spill.admitted_evict,
-                self.adm.spill.rejected_arrival,
+                w.adm.offered,
+                w.adm.absorbed,
+                w.adm.admitted_evictions,
+                w.adm.rejected,
+                w.adm.spill.admitted_evict,
+                w.adm.spill.rejected_arrival,
             ],
         ];
-        if let Some(sk) = &self.sketch {
+        if let Some(sk) = &w.sketch {
             nums.push(sk.to_nums());
         }
         Ok(ReducerCkpt {
             tag: CKPT_TAG,
-            flags: match self.monitor.kind() {
+            flags: match monitor.kind() {
                 MonitorKind::Frequent => 0,
                 MonitorKind::SpaceSaving => FLAG_SPACE_SAVING,
             },
-            watermark: self.ctx.watermark,
+            watermark: w.ctx.watermark,
             nums,
-            pairs: vec![self.sink.export_pending(), self.ctx.export_pending()],
+            pairs: vec![w.sink.export_pending(), w.ctx.export_pending()],
             states,
         })
     }
 
     fn import_state(&mut self, ckpt: ReducerCkpt) -> Result<()> {
+        let w = &mut self.work;
         if ckpt.tag != CKPT_TAG {
             return Err(Error::job(format!(
                 "checkpoint tag {} is not DINC-hash ({CKPT_TAG})",
@@ -535,7 +589,7 @@ impl ReduceSide for DincHashReducer<'_> {
             )));
         }
         let mut states = ckpt.states;
-        if states.len() != self.buckets.num_buckets() + 1 {
+        if states.len() != w.buckets.num_buckets() + 1 {
             return Err(Error::job(
                 "DINC-hash checkpoint bucket count mismatch — restore requires \
                  the same cluster spec and sizing hints as the original run",
@@ -562,7 +616,7 @@ impl ReduceSide for DincHashReducer<'_> {
         let [adm_offered, adm_absorbed, adm_evictions, adm_rejected, adm_spill_evict, adm_spill_rej] =
             <[u64; 6]>::try_from(adm)
                 .map_err(|_| Error::job("DINC-hash checkpoint admission section malformed"))?;
-        self.sketch = match (self.admission.is_on(), sketch_nums) {
+        w.sketch = match (w.admission.is_on(), sketch_nums) {
             (true, Some(nums)) => Some(FreqSketch::from_nums(&nums)?),
             (true, None) => {
                 return Err(Error::job(
@@ -573,7 +627,7 @@ impl ReduceSide for DincHashReducer<'_> {
             }
             (false, _) => None,
         };
-        self.adm = AdmissionStats {
+        w.adm = AdmissionStats {
             offered: adm_offered,
             absorbed: adm_absorbed,
             admitted_evictions: adm_evictions,
@@ -609,19 +663,19 @@ impl ReduceSide for DincHashReducer<'_> {
                 state: sp.state,
             })
             .collect();
-        self.monitor = Monitor::restore(
+        self.monitor = Arc::new(Monitor::restore(
             kind,
             capacity,
             offered.first().copied().unwrap_or(0),
             entries,
-        );
+        ));
         let [sink_pending, ctx_pending] = <[Vec<opa_common::Pair>; 2]>::try_from(ckpt.pairs)
             .map_err(|_| Error::job("DINC-hash checkpoint missing output sections"))?;
-        self.buckets.restore_contents(states);
-        self.sink.restore_pending(sink_pending);
-        self.ctx.restore_pending(ctx_pending);
-        self.ctx.watermark = ckpt.watermark;
-        self.stats = crate::metrics::DincStats {
+        w.buckets.restore_contents(states);
+        w.sink.restore_pending(sink_pending);
+        w.ctx.restore_pending(ctx_pending);
+        w.ctx.watermark = ckpt.watermark;
+        w.stats = crate::metrics::DincStats {
             slots_per_reducer: slots,
             offered: st_offered,
             rejected,
@@ -631,35 +685,12 @@ impl ReduceSide for DincHashReducer<'_> {
         Ok(())
     }
 
-    fn query(&self, key: &Key) -> Option<Value> {
-        self.monitor.get(key).map(|e| e.state)
-    }
-
-    fn top_entries(&self, k: usize) -> Option<(Vec<TopEntry>, f64)> {
-        let mut entries = self.monitor.entries();
-        // Stable sort: ties keep slot order, so the answer is deterministic.
-        entries.sort_by_key(|e| std::cmp::Reverse(e.count));
-        entries.truncate(k);
-        let slack = self.monitor.slack();
-        let gamma = entries
-            .iter()
-            .map(|e| e.t as f64 / (e.t as f64 + slack))
-            .fold(1.0f64, f64::min);
-        Some((
-            entries
-                .into_iter()
-                .map(|e| TopEntry {
-                    key: e.key,
-                    count: e.count,
-                    state: e.state,
-                })
-                .collect(),
-            gamma,
-        ))
+    fn view(&self) -> Option<Arc<dyn StateView + Send + Sync>> {
+        Some(self.monitor.clone())
     }
 
     fn watermark(&self) -> Option<u64> {
-        self.ctx.watermark
+        self.work.ctx.watermark
     }
 }
 

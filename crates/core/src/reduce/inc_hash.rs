@@ -13,7 +13,7 @@
 //! `H` from its first appearance, or *all* of its tuples go to the same
 //! bucket — a key's data is never split between memory and disk.
 
-use super::{OutputSink, ReduceEnv, ReduceSide, ReducerCkpt, ReducerSizing, WORK_BATCH};
+use super::{OutputSink, ReduceEnv, ReduceSide, ReducerCkpt, ReducerSizing, StateView, WORK_BATCH};
 use crate::api::{IncrementalReducer, Job, ReduceCtx};
 use crate::cluster::ClusterSpec;
 use crate::map_phase::Payload;
@@ -25,6 +25,7 @@ use opa_common::{
     ShardedGroupIndex, StatePair, Value,
 };
 use opa_simio::BucketManager;
+use std::sync::Arc;
 
 /// [`ReducerCkpt::tag`] of the INC-hash framework.
 pub(crate) const CKPT_TAG: u8 = 3;
@@ -45,20 +46,57 @@ const MAX_DEPTH: usize = 6;
 /// cursor guarantees every resident is eventually considered.
 const VICTIM_PROBES: usize = 4;
 
+/// The resident table `H`: insertion-ordered key→state rows and their
+/// probe index. Live readers share it through [`ReduceSide::view`]; the
+/// reducer writes through `Arc::make_mut`, so a view that outlives a seal
+/// keeps the rows it was taken over.
+#[derive(Clone)]
+struct IncTable {
+    /// Probe hash (the partitioning function `h1`).
+    h1: HashFn,
+    states: Vec<(Key, Value)>,
+    index: ShardedGroupIndex,
+}
+
+impl IncTable {
+    /// Row of `key`, whose `h1` fingerprint is `h`.
+    fn find(&self, h: u64, key: &Key) -> Option<usize> {
+        self.index.get(h, |r| self.states[r].0 == *key)
+    }
+
+    /// Appends a row for a key the caller established is absent.
+    fn push(&mut self, h: u64, key: Key, state: Value) {
+        self.index.insert(h, self.states.len());
+        self.states.push((key, state));
+    }
+}
+
+impl StateView for IncTable {
+    fn lookup(&self, key: &Key) -> Option<Value> {
+        self.find(self.h1.hash(key.bytes()), key)
+            .map(|i| self.states[i].1.clone())
+    }
+}
+
 /// One reduce task running the INC-hash framework.
 pub struct IncHashReducer<'j> {
+    /// `H`, shared copy-on-write with live views: one `Arc::make_mut`
+    /// per delivery, finish or restore, never one per tuple.
+    table: Arc<IncTable>,
+    work: IncWork<'j>,
+}
+
+/// Everything of an INC-hash reducer except `H`: state no reader sees.
+struct IncWork<'j> {
     inc: &'j dyn IncrementalReducer,
     family: HashFamily,
     /// Partitioning function — its fingerprints arrive cached in every
     /// delivered batch and double as the table-probe hash.
     h1: HashFn,
     h3: HashFn,
-    /// Insertion-ordered key→state table (`H`).
-    states: Vec<(Key, Value)>,
-    /// Tuples combined into each resident row (parallel to `states`);
+    /// Tuples combined into each resident row (parallel to `H`'s rows);
     /// summed at finish into the resident-frequency statistic.
     counts: Vec<u64>,
-    index: ShardedGroupIndex,
     mem_used: u64,
     mem_budget: u64,
     write_buffer: u64,
@@ -109,14 +147,18 @@ impl<'j> IncHashReducer<'j> {
         let mem_budget = mem.saturating_sub(h as u64 * write_buffer).max(1);
         let admission = sizing.admission;
         let expected = (sizing.expected_keys as usize).clamp(64, 1 << 22);
-        IncHashReducer {
+        let h1 = family.fn_at(0);
+        let table = Arc::new(IncTable {
+            h1,
+            states: Vec::new(),
+            index: ShardedGroupIndex::default(),
+        });
+        let work = IncWork {
             inc,
             family: family.clone(),
-            h1: family.fn_at(0),
+            h1,
             h3: family.fn_at(2),
-            states: Vec::new(),
             counts: Vec::new(),
-            index: ShardedGroupIndex::default(),
             mem_used: 0,
             mem_budget,
             write_buffer,
@@ -134,15 +176,19 @@ impl<'j> IncHashReducer<'j> {
                 .then(|| KeyFilter::with_capacity(expected)),
             victim_cursor: 0,
             stats: AdmissionStats::default(),
-        }
+        };
+        IncHashReducer { table, work }
     }
+}
 
+impl IncWork<'_> {
     /// Streams one tuple through the table, probing with the batch-carried
     /// `h1` fingerprint when the shuffle delivered one (re-hashing only
     /// for restored tuples whose cache was dropped). Returns the advanced
     /// clock.
     fn absorb(
         &mut self,
+        tab: &mut IncTable,
         mut t: SimTime,
         sp: StatePair,
         hash: Option<u64>,
@@ -158,9 +204,9 @@ impl<'j> IncHashReducer<'j> {
             // pure function of the delivered tuple order.
             sketch.touch(h);
         }
-        match self.index.get(h, |r| self.states[r].0 == sp.key) {
+        match tab.find(h, &sp.key) {
             Some(i) => {
-                let (ref key, ref mut acc) = self.states[i];
+                let (ref key, ref mut acc) = tab.states[i];
                 let before = self.inc.state_mem_size(acc);
                 self.inc.cb(key, acc, sp.state, &mut self.ctx);
                 let after = self.inc.state_mem_size(acc);
@@ -176,14 +222,13 @@ impl<'j> IncHashReducer<'j> {
                 }
             }
             None if self.admission.is_on() => {
-                t = self.absorb_miss_lfu(t, sp, h, env);
+                t = self.absorb_miss_lfu(tab, t, sp, h, env);
             }
             None => {
                 let sz = sp.key.len() as u64 + self.inc.state_mem_size(&sp.state) + ENTRY_OVERHEAD;
                 if !self.admissions_closed && self.mem_used + sz <= self.mem_budget {
                     self.mem_used += sz;
-                    self.index.insert(h, self.states.len());
-                    self.states.push((sp.key, sp.state));
+                    tab.push(h, sp.key, sp.state);
                     self.counts.push(1);
                     t = env.cpu(t, env.cost().hash_time(1));
                     self.absorbed += 1;
@@ -213,6 +258,7 @@ impl<'j> IncHashReducer<'j> {
     /// re-combines them in arrival order.
     fn absorb_miss_lfu(
         &mut self,
+        tab: &mut IncTable,
         mut t: SimTime,
         sp: StatePair,
         h: u64,
@@ -228,8 +274,7 @@ impl<'j> IncHashReducer<'j> {
             // Unlike first-come, a clean key may be admitted even after
             // earlier rejections — draining sessions can free memory.
             self.mem_used += sz;
-            self.index.insert(h, self.states.len());
-            self.states.push((sp.key, sp.state));
+            tab.push(h, sp.key, sp.state);
             self.counts.push(1);
             t = env.cpu(t, env.cost().hash_time(1));
             self.absorbed += 1;
@@ -238,8 +283,8 @@ impl<'j> IncHashReducer<'j> {
             return t;
         }
         if clean {
-            if let Some(vi) = self.pick_victim(h, sz) {
-                return self.evict_and_admit(t, sp, h, vi, env);
+            if let Some(vi) = self.pick_victim(tab, h, sz) {
+                return self.evict_and_admit(tab, t, sp, h, vi, env);
             }
         }
         // Rejected arrival: remember the key so it is never admitted
@@ -261,8 +306,8 @@ impl<'j> IncHashReducer<'j> {
     /// victim's and the swap frees enough memory. Pure function of
     /// (resident table, sketch, cursor), all of which are themselves pure
     /// functions of the delivered tuple order.
-    fn pick_victim(&mut self, h: u64, incoming_sz: u64) -> Option<usize> {
-        let n = self.states.len();
+    fn pick_victim(&mut self, tab: &IncTable, h: u64, incoming_sz: u64) -> Option<usize> {
+        let n = tab.states.len();
         if n == 0 {
             return None;
         }
@@ -275,7 +320,7 @@ impl<'j> IncHashReducer<'j> {
         let mut best: Option<(usize, u32)> = None;
         for probe in 0..VICTIM_PROBES.min(n) {
             let i = (start + probe) % n;
-            let est = sketch.estimate(self.h1.hash(self.states[i].0.bytes()));
+            let est = sketch.estimate(self.h1.hash(tab.states[i].0.bytes()));
             if best.is_none_or(|(_, b)| est < b) {
                 best = Some((i, est));
             }
@@ -284,7 +329,7 @@ impl<'j> IncHashReducer<'j> {
         if sketch.estimate(h) <= vest {
             return None;
         }
-        let (vkey, vstate) = &self.states[vi];
+        let (vkey, vstate) = &tab.states[vi];
         let vsz = vkey.len() as u64 + self.inc.state_mem_size(vstate) + ENTRY_OVERHEAD;
         (self.mem_used - vsz + incoming_sz <= self.mem_budget).then_some(vi)
     }
@@ -296,20 +341,21 @@ impl<'j> IncHashReducer<'j> {
     /// function of the delivered tuple order.
     fn evict_and_admit(
         &mut self,
+        tab: &mut IncTable,
         mut t: SimTime,
         sp: StatePair,
         h: u64,
         vi: usize,
         env: &mut ReduceEnv<'_>,
     ) -> SimTime {
-        let vh = self.h1.hash(self.states[vi].0.bytes());
-        let last = self.states.len() - 1;
-        self.index.remove(vh, vi);
-        let (vkey, vstate) = self.states.swap_remove(vi);
+        let vh = self.h1.hash(tab.states[vi].0.bytes());
+        let last = tab.states.len() - 1;
+        tab.index.remove(vh, vi);
+        let (vkey, vstate) = tab.states.swap_remove(vi);
         self.counts.swap_remove(vi);
-        if vi < self.states.len() {
-            let mh = self.h1.hash(self.states[vi].0.bytes());
-            self.index.reindex(mh, last, vi);
+        if vi < tab.states.len() {
+            let mh = self.h1.hash(tab.states[vi].0.bytes());
+            tab.index.reindex(mh, last, vi);
         }
         let vsz = vkey.len() as u64 + self.inc.state_mem_size(&vstate) + ENTRY_OVERHEAD;
         self.mem_used = self.mem_used.saturating_sub(vsz);
@@ -332,8 +378,7 @@ impl<'j> IncHashReducer<'j> {
         // Install the (hotter) newcomer.
         let sz = sp.key.len() as u64 + self.inc.state_mem_size(&sp.state) + ENTRY_OVERHEAD;
         self.mem_used += sz;
-        self.index.insert(h, self.states.len());
-        self.states.push((sp.key, sp.state));
+        tab.push(h, sp.key, sp.state);
         self.counts.push(1);
         t = env.cpu(t, env.cost().hash_time(2));
         self.absorbed += 1;
@@ -468,43 +513,46 @@ impl ReduceSide for IncHashReducer<'_> {
             unreachable!("INC-hash receives key-state pairs");
         };
         env.shuffled(t, batch.bytes());
+        let tab = Arc::make_mut(&mut self.table);
         let (tuples, hashes) = batch.into_parts();
         let mut hashes = hashes.into_iter();
         for sp in tuples {
             let h = hashes.next();
-            t = self.absorb(t, sp, h, env);
+            t = self.work.absorb(tab, t, sp, h, env);
         }
         t
     }
 
     fn finish(&mut self, mut t: SimTime, env: &mut ReduceEnv<'_>) -> SimTime {
+        let w = &mut self.work;
         env.span_open();
         // Finalize every memory-resident key (their data is complete —
         // see the module invariant).
-        let states = std::mem::take(&mut self.states);
-        self.stats.resident_keys = states.len() as u64;
-        self.stats.resident_frequency = self.counts.drain(..).sum();
-        self.index.clear();
-        self.mem_used = 0;
+        let tab = Arc::make_mut(&mut self.table);
+        let states = std::mem::take(&mut tab.states);
+        tab.index.clear();
+        w.stats.resident_keys = states.len() as u64;
+        w.stats.resident_frequency = w.counts.drain(..).sum();
+        w.mem_used = 0;
         let n = states.len() as u64;
         for (key, state) in states {
-            self.inc.finalize(&key, state, &mut self.ctx);
+            w.inc.finalize(&key, state, &mut w.ctx);
         }
         t = env.cpu(t, env.cost().reduce_time(n));
-        let out = self.ctx.drain();
-        t = self.sink.push(t, out, env);
+        let out = w.ctx.drain();
+        t = w.sink.push(t, out, env);
 
         // Staged buckets, one at a time.
-        let op = self.buckets.seal();
+        let op = w.buckets.seal();
         t = env.spill(t, op);
-        for b in 0..self.buckets.num_buckets() {
-            let (recs, op) = self.buckets.take_bucket(b);
+        for b in 0..w.buckets.num_buckets() {
+            let (recs, op) = w.buckets.take_bucket(b);
             t = env.spill(t, op);
             if !recs.is_empty() {
-                t = self.process_bucket(t, recs, 3, env);
+                t = w.process_bucket(t, recs, 3, env);
             }
         }
-        t = self.sink.flush(t, env);
+        t = w.sink.flush(t, env);
         env.span_close(OpKind::Reduce);
         t
     }
@@ -519,44 +567,47 @@ impl ReduceSide for IncHashReducer<'_> {
     /// images, so a restored reducer makes bit-identical admission
     /// decisions from the checkpoint onward.
     fn export_state(&self) -> Result<ReducerCkpt> {
+        let w = &self.work;
         let mut states = vec![self
+            .table
             .states
             .iter()
             .map(|(k, v)| StatePair::new(k.clone(), v.clone()))
             .collect::<Vec<_>>()];
-        states.extend(self.buckets.export_contents());
+        states.extend(w.buckets.export_contents());
         let mut nums = vec![
-            vec![self.absorbed],
+            vec![w.absorbed],
             vec![
-                self.stats.offered,
-                self.stats.absorbed,
-                self.stats.admitted_evictions,
-                self.stats.rejected,
-                self.stats.spill.admitted_evict,
-                self.stats.spill.rejected_arrival,
-                self.victim_cursor,
+                w.stats.offered,
+                w.stats.absorbed,
+                w.stats.admitted_evictions,
+                w.stats.rejected,
+                w.stats.spill.admitted_evict,
+                w.stats.spill.rejected_arrival,
+                w.victim_cursor,
             ],
-            self.counts.clone(),
+            w.counts.clone(),
         ];
-        if let (Some(sketch), Some(filter)) = (&self.sketch, &self.filter) {
+        if let (Some(sketch), Some(filter)) = (&w.sketch, &w.filter) {
             nums.push(sketch.to_nums());
             nums.push(filter.to_nums());
         }
         Ok(ReducerCkpt {
             tag: CKPT_TAG,
-            flags: if self.admissions_closed {
+            flags: if w.admissions_closed {
                 FLAG_ADMISSIONS_CLOSED
             } else {
                 0
             },
-            watermark: self.ctx.watermark,
+            watermark: w.ctx.watermark,
             nums,
-            pairs: vec![self.sink.export_pending(), self.ctx.export_pending()],
+            pairs: vec![w.sink.export_pending(), w.ctx.export_pending()],
             states,
         })
     }
 
     fn import_state(&mut self, ckpt: ReducerCkpt) -> Result<()> {
+        let w = &mut self.work;
         if ckpt.tag != CKPT_TAG {
             return Err(Error::job(format!(
                 "checkpoint tag {} is not INC-hash ({CKPT_TAG})",
@@ -564,7 +615,7 @@ impl ReduceSide for IncHashReducer<'_> {
             )));
         }
         let mut sections = ckpt.states;
-        if sections.len() != self.buckets.num_buckets() + 1 {
+        if sections.len() != w.buckets.num_buckets() + 1 {
             return Err(Error::job(
                 "INC-hash checkpoint bucket count mismatch — restore requires \
                  the same cluster spec and sizing hints as the original run",
@@ -573,71 +624,66 @@ impl ReduceSide for IncHashReducer<'_> {
         let resident = sections.remove(0);
         let [sink_pending, ctx_pending] = <[Vec<opa_common::Pair>; 2]>::try_from(ckpt.pairs)
             .map_err(|_| Error::job("INC-hash checkpoint missing output sections"))?;
-        self.states = Vec::with_capacity(resident.len());
-        self.index = ShardedGroupIndex::with_capacity(resident.len());
-        self.mem_used = 0;
+        let tab = Arc::make_mut(&mut self.table);
+        tab.states = Vec::with_capacity(resident.len());
+        tab.index = ShardedGroupIndex::with_capacity(resident.len());
+        w.mem_used = 0;
         for sp in resident {
-            self.mem_used +=
-                sp.key.len() as u64 + self.inc.state_mem_size(&sp.state) + ENTRY_OVERHEAD;
-            self.index
-                .insert(self.h1.hash(sp.key.bytes()), self.states.len());
-            self.states.push((sp.key, sp.state));
+            w.mem_used += sp.key.len() as u64 + w.inc.state_mem_size(&sp.state) + ENTRY_OVERHEAD;
+            tab.push(w.h1.hash(sp.key.bytes()), sp.key, sp.state);
         }
-        self.buckets.restore_contents(sections);
-        self.sink.restore_pending(sink_pending);
-        self.ctx.restore_pending(ctx_pending);
-        self.ctx.watermark = ckpt.watermark;
+        w.buckets.restore_contents(sections);
+        w.sink.restore_pending(sink_pending);
+        w.ctx.restore_pending(ctx_pending);
+        w.ctx.watermark = ckpt.watermark;
         let mut nums = ckpt.nums.into_iter();
-        self.absorbed = nums.next().and_then(|n| n.first().copied()).unwrap_or(0);
+        w.absorbed = nums.next().and_then(|n| n.first().copied()).unwrap_or(0);
         if let Some(counters) = nums.next() {
             let [offered, absorbed, evictions, rejected, sp_evict, sp_rej, cursor] =
                 <[u64; 7]>::try_from(counters).map_err(|_| {
                     Error::job("INC-hash checkpoint admission-counter section malformed")
                 })?;
-            self.stats.offered = offered;
-            self.stats.absorbed = absorbed;
-            self.stats.admitted_evictions = evictions;
-            self.stats.rejected = rejected;
-            self.stats.spill.admitted_evict = sp_evict;
-            self.stats.spill.rejected_arrival = sp_rej;
-            self.victim_cursor = cursor;
+            w.stats.offered = offered;
+            w.stats.absorbed = absorbed;
+            w.stats.admitted_evictions = evictions;
+            w.stats.rejected = rejected;
+            w.stats.spill.admitted_evict = sp_evict;
+            w.stats.spill.rejected_arrival = sp_rej;
+            w.victim_cursor = cursor;
         }
         let counts = nums.next().unwrap_or_default();
-        if counts.len() != self.states.len() {
+        if counts.len() != tab.states.len() {
             return Err(Error::job(
                 "INC-hash checkpoint combine-count section disagrees with the resident table",
             ));
         }
-        self.counts = counts;
-        if self.admission.is_on() {
+        w.counts = counts;
+        if w.admission.is_on() {
             let (Some(sketch), Some(filter)) = (nums.next(), nums.next()) else {
                 return Err(Error::job(
                     "INC-hash checkpoint lacks admission sketch sections — it was \
                      written with a different --admission setting",
                 ));
             };
-            self.sketch = Some(FreqSketch::from_nums(&sketch)?);
-            self.filter = Some(KeyFilter::from_nums(&filter)?);
+            w.sketch = Some(FreqSketch::from_nums(&sketch)?);
+            w.filter = Some(KeyFilter::from_nums(&filter)?);
         }
-        self.admissions_closed = ckpt.flags & FLAG_ADMISSIONS_CLOSED != 0;
+        w.admissions_closed = ckpt.flags & FLAG_ADMISSIONS_CLOSED != 0;
         Ok(())
     }
 
-    fn query(&self, key: &Key) -> Option<Value> {
-        let h = self.h1.hash(key.bytes());
-        self.index
-            .get(h, |r| self.states[r].0 == *key)
-            .map(|i| self.states[i].1.clone())
+    fn view(&self) -> Option<Arc<dyn StateView + Send + Sync>> {
+        Some(self.table.clone())
     }
 
     /// Populated for both policies — the off-policy numbers are what the
     /// admission tests compare an LFU run against (γ, resident
     /// frequency); the eviction fields stay zero when the policy is off.
     fn admission_stats(&self) -> Option<AdmissionStats> {
-        Some(self.stats)
+        Some(self.work.stats)
     }
 
     fn watermark(&self) -> Option<u64> {
-        self.ctx.watermark
+        self.work.ctx.watermark
     }
 }

@@ -37,6 +37,7 @@ use crate::sim::{OpKind, Resources};
 use opa_common::units::{SimDuration, SimTime};
 use opa_common::{Error, HashFamily, Key, Pair, Result, StatePair, Value};
 use opa_simio::{IoCategory, IoOp};
+use std::sync::Arc;
 
 /// Advance-the-clock batch size: user-function work is priced per record
 /// but committed to the simulation in batches this large, so progress
@@ -385,6 +386,25 @@ pub struct TopEntry {
     pub state: Value,
 }
 
+/// Read access to one reducer's resident state, as captured by
+/// [`ReduceSide::view`]. A view never changes: the reducer copies its
+/// table before writing to it while any view is alive.
+pub trait StateView {
+    /// Point lookup of a key's *resident* partial aggregate. Spilled
+    /// partials merge only at `finish`, so a hit is a partial answer over
+    /// everything absorbed into memory so far; `None` for a key that is
+    /// not resident (never seen, unmonitored under DINC, or on disk).
+    fn lookup(&self, key: &Key) -> Option<Value>;
+
+    /// The top monitored keys by estimated frequency, with the monitor's
+    /// coverage lower bound γ (Theorem 1 of the paper). Only DINC-hash —
+    /// the framework that actually maintains a frequency monitor —
+    /// answers; others return `None`.
+    fn top_entries(&self, _k: usize) -> Option<(Vec<TopEntry>, f64)> {
+        None
+    }
+}
+
 /// Batches reducer output into 64 KB HDFS writes and keeps the output
 /// component of Definition-1 progress current.
 pub struct OutputSink {
@@ -496,21 +516,14 @@ pub trait ReduceSide {
         ))
     }
 
-    /// Point lookup of a key's *resident* partial aggregate, served between
-    /// micro-batches. `None` means this framework keeps no queryable
-    /// in-memory state for the key (sort-merge and MR-hash buffer raw runs;
-    /// INC/DINC answer from their hash table / monitor). Spilled partials
-    /// merge only at `finish`, so a hit is a partial answer over everything
-    /// absorbed into memory so far.
-    fn query(&self, _key: &Key) -> Option<Value> {
-        None
-    }
-
-    /// The top monitored keys by estimated frequency, with the monitor's
-    /// coverage lower bound γ (Theorem 1 of the paper). Only DINC-hash —
-    /// the framework that actually maintains a frequency monitor — answers;
-    /// others return `None`.
-    fn top_entries(&self, _k: usize) -> Option<(Vec<TopEntry>, f64)> {
+    /// A read-only view of this reducer's queryable in-memory state, for
+    /// answering live queries between micro-batches. Costs one `Arc`
+    /// clone: the view shares the reducer's table copy-on-write, so the
+    /// next write after a seal copies it only if a reader still holds the
+    /// view. `None` when the framework keeps no queryable state
+    /// (sort-merge and MR-hash buffer raw runs; INC/DINC answer from
+    /// their hash table / monitor).
+    fn view(&self) -> Option<Arc<dyn StateView + Send + Sync>> {
         None
     }
 

@@ -309,3 +309,51 @@ fn dinc_early_stop_reports_only_covered_keys() {
     // The reported hot-key count is a partial (≤ true) count.
     assert!(counts[&7] <= 200);
 }
+
+/// Address of the state a view shares with its reducer.
+fn view_addr(r: &dyn ReduceSide) -> *const () {
+    Arc::as_ptr(&r.view().expect("INC/DINC expose a view")).cast()
+}
+
+#[test]
+fn views_share_state_copy_on_write() {
+    let spec = ClusterSpec::tiny();
+    let job = Count;
+    let family = HashFamily::new(4);
+    let mut inc = inc_hash::IncHashReducer::new(&job, &spec, sizing(), &family);
+    let mut dinc = dinc_hash::DincHashReducer::new(&job, &spec, sizing(), &family);
+    for r in [
+        &mut inc as &mut dyn ReduceSide,
+        &mut dinc as &mut dyn ReduceSide,
+    ] {
+        let mut h = Harness::new(spec);
+        let t = h.deliver(r, SimTime::ZERO, Payload::States(states(&[1, 2])));
+
+        // No reader holds a view: the next delivery writes in place.
+        let before = view_addr(r);
+        let t = h.deliver(r, t, Payload::States(states(&[1])));
+        assert_eq!(view_addr(r), before, "a dropped view still forced a copy");
+
+        // A held view keeps its answer; the reducer copies and moves on.
+        let held = r.view().expect("view");
+        let t = h.deliver(r, t, Payload::States(states(&[1, 3])));
+        assert_eq!(held.lookup(&Key::from_u64(1)), Some(Value::from_u64(2)));
+        assert_eq!(held.lookup(&Key::from_u64(3)), None);
+        let now = r.view().expect("view");
+        assert_eq!(now.lookup(&Key::from_u64(1)), Some(Value::from_u64(3)));
+        assert_eq!(now.lookup(&Key::from_u64(3)), Some(Value::from_u64(1)));
+        assert_ne!(
+            Arc::as_ptr(&held).cast::<()>(),
+            Arc::as_ptr(&now).cast::<()>()
+        );
+        let _ = h.finish(r, t);
+        assert_eq!(held.lookup(&Key::from_u64(2)), Some(Value::from_u64(1)));
+    }
+    // Sort-merge and MR-hash keep no queryable state.
+    assert!(sort_merge::SortMergeReducer::new(&job, &spec)
+        .view()
+        .is_none());
+    assert!(mr_hash::MrHashReducer::new(&job, &spec, sizing(), &family)
+        .view()
+        .is_none());
+}

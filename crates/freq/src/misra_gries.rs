@@ -56,7 +56,7 @@ pub enum MgOutcome<K, S> {
     },
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct Slot<K, S> {
     key: K,
     /// Stored counter; effective value is `stored − base`.
@@ -66,7 +66,7 @@ struct Slot<K, S> {
 }
 
 /// FREQUENT with `s` slots and attached state.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct MisraGries<K, S> {
     slots: Vec<Slot<K, S>>,
     index: HashMap<K, usize, SeededState>,

@@ -172,7 +172,7 @@ mod tests {
 /// arrival displaces the *minimum-count* occupant (inheriting `min + 1`),
 /// so installs always succeed unless the eviction guard vetoes every
 /// minimal occupant.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct SpaceSavingMonitor<K, S> {
     slots: Vec<(K, u64, u64, S)>, // key, count, t, state
     index: std::collections::HashMap<K, usize, SeededState>,

@@ -16,8 +16,11 @@
 //!   its solo run and the serving trace is a pure function of the
 //!   submission sequence;
 //! - **live queries** — point lookups, DINC top-k and progress answered
-//!   at wave boundaries against the paused engine state, through the
-//!   same [`opa_stream::BatchCtl`] surface the stream callback sees;
+//!   on the caller's thread from the [`opa_stream::LiveView`] each job
+//!   publishes at its wave boundary, the same view the stream callback
+//!   reads through [`opa_stream::BatchCtl`];
+//! - **failure isolation** — a job whose user code panics ends
+//!   `Failed`; it frees its slot and never stalls the other tenants;
 //! - **a dead-letter queue** ([`dlq`]) — records a map UDF rejects are
 //!   quarantined with full provenance (tenant, job, task, attempt,
 //!   offset) to a CRC-guarded file instead of failing the job, and the

@@ -2,11 +2,15 @@
 //!
 //! Each admitted job runs the unmodified stream driver on its own OS
 //! thread. The driver's micro-batch pause points become the server's
-//! **wave boundaries**: at every pause the job thread parks, reports in,
-//! and waits for a grant. The server advances the fleet in **rounds** —
-//! it waits until *every* running job is parked (or finished), then
-//! issues one `Continue` grant per job **in admission order**. Queries
-//! are answered while parked, against the live [`BatchCtl`] state.
+//! **wave boundaries**: at every pause the job thread parks, reports in
+//! with the seal's [`LiveView`], and waits for a grant. The server
+//! advances the fleet in **rounds** — it waits until *every* running job
+//! is parked (or finished), then issues one `Continue` grant per job
+//! **in admission order**. Queries on a running job are answered on the
+//! caller's thread from that view; the parked job thread is never woken
+//! for them. The server drops a job's view before granting it the next
+//! wave, so the job's next write finds its tables unshared and never
+//! copies them.
 //!
 //! Determinism falls out of two facts:
 //!
@@ -32,9 +36,10 @@ use opa_core::api::Job;
 use opa_core::cluster::{ClusterSpec, Framework};
 use opa_core::job::{JobInput, PoisonedRecord};
 use opa_core::reduce::TopEntry;
-use opa_stream::{BatchCtl, StreamJobBuilder, StreamOutcome, StreamProgress};
+use opa_stream::{BatchCtl, LiveView, StreamJobBuilder, StreamOutcome, StreamProgress};
 use opa_trace::{ServeJobState, TraceEvent};
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
@@ -81,10 +86,8 @@ impl Default for JobSpec {
 pub enum ServeQuery {
     /// Point lookup of a key's resident partial aggregate.
     Lookup(Key),
-    /// Batched point lookups: answers every key in one channel
-    /// round-trip against the *same* parked state snapshot, instead of
-    /// paying one `Lookup` round-trip (and potentially interleaved
-    /// steps) per key.
+    /// Batched point lookups: answers every key against the *same*
+    /// state snapshot in one call.
     LookupBatch(Vec<Key>),
     /// The DINC top-k answer with its γ coverage bound.
     TopK(usize),
@@ -151,18 +154,10 @@ pub struct SubmitReceipt {
     pub outcome: AdmissionOutcome,
 }
 
-enum ToJob {
-    Query {
-        query: ServeQuery,
-        reply: Sender<ServeAnswer>,
-    },
-    Continue,
-}
-
 enum FromJob {
     Paused {
         id: u32,
-        progress: StreamProgress,
+        view: LiveView,
     },
     Done {
         id: u32,
@@ -172,25 +167,27 @@ enum FromJob {
 
 /// A re-runnable job closure: the server keeps it so a finished job can
 /// be replayed (DLQ recovery) under a different fault configuration.
-type Runner = Arc<
-    dyn Fn(FaultConfig, &mut dyn FnMut(&mut BatchCtl<'_, '_>)) -> Result<StreamOutcome>
-        + Send
-        + Sync,
->;
+type Runner =
+    Arc<dyn Fn(FaultConfig, &mut dyn FnMut(&mut BatchCtl)) -> Result<StreamOutcome> + Send + Sync>;
 
 struct JobEntry {
     tenant: u32,
     label: String,
     phase: JobPhase,
-    paused: bool,
     progress: Option<StreamProgress>,
-    cmd: Option<Sender<ToJob>>,
+    /// The state of its last seal while the job is parked at a wave
+    /// boundary; `None` while it runs.
+    view: Option<LiveView>,
+    /// Grants the parked job its next wave (one message per wave).
+    grant: Option<Sender<()>>,
     handle: Option<JoinHandle<()>>,
     runner: Option<Runner>,
     faults: FaultConfig,
     waves: u32,
     submitted_round: u64,
     outcome: Option<Box<StreamOutcome>>,
+    /// First position of each key in the finished job's output.
+    output_index: HashMap<Key, usize>,
     error: Option<String>,
     dlq_path: Option<PathBuf>,
     finalized: bool,
@@ -249,20 +246,18 @@ impl Server {
         let label = job.name().to_string();
         let runner: Runner = {
             let spec = spec.clone();
-            Arc::new(
-                move |faults, on_batch: &mut dyn FnMut(&mut BatchCtl<'_, '_>)| {
-                    StreamJobBuilder::new(job.clone())
-                        .framework(spec.framework)
-                        .cluster(spec.cluster)
-                        .exec(spec.exec)
-                        .km_hint(spec.km_hint)
-                        .admission(spec.admission)
-                        .faults(faults)
-                        .batches(spec.batches)
-                        .trace(spec.trace)
-                        .run_stream(&input, on_batch)
-                },
-            )
+            Arc::new(move |faults, on_batch: &mut dyn FnMut(&mut BatchCtl)| {
+                StreamJobBuilder::new(job.clone())
+                    .framework(spec.framework)
+                    .cluster(spec.cluster)
+                    .exec(spec.exec)
+                    .km_hint(spec.km_hint)
+                    .admission(spec.admission)
+                    .faults(faults)
+                    .batches(spec.batches)
+                    .trace(spec.trace)
+                    .run_stream(&input, on_batch)
+            })
         };
         let outcome = self.admission.decide(tenant, &self.cfg);
         let (phase, state, error) = match outcome {
@@ -290,15 +285,16 @@ impl Server {
             tenant,
             label,
             phase,
-            paused: false,
             progress: None,
-            cmd: None,
+            view: None,
+            grant: None,
             handle: None,
             runner: Some(runner),
             faults: spec.faults,
             waves: 0,
             submitted_round: self.round,
             outcome: None,
+            output_index: HashMap::new(),
             error,
             dlq_path: None,
             finalized: matches!(phase, JobPhase::Rejected),
@@ -323,27 +319,29 @@ impl Server {
         });
         let entry = &mut self.jobs[id as usize];
         entry.phase = JobPhase::Running;
-        let (cmd_tx, cmd_rx) = channel::<ToJob>();
-        entry.cmd = Some(cmd_tx);
+        let (grant_tx, grant_rx) = channel::<()>();
+        entry.grant = Some(grant_tx);
         let runner = entry.runner.clone().expect("admitted job keeps its runner");
         let faults = entry.faults;
         let tx = self.tx.clone();
         entry.handle = Some(std::thread::spawn(move || {
-            let mut on_batch = |ctl: &mut BatchCtl<'_, '_>| {
-                let progress = ctl.progress();
-                if tx.send(FromJob::Paused { id, progress }).is_err() {
+            let mut on_batch = |ctl: &mut BatchCtl| {
+                let view = ctl.view().clone();
+                if tx.send(FromJob::Paused { id, view }).is_err() {
                     // Server gone: free-run to completion.
                     return;
                 }
-                // A `Continue` grant or a dropped sender (server shutting
-                // down) both release the wave boundary.
-                while let Ok(ToJob::Query { query, reply }) = cmd_rx.recv() {
-                    let _ = reply.send(answer_live(ctl, &query));
-                }
+                // A grant or a dropped sender (server shutting down) both
+                // release the wave boundary.
+                let _ = grant_rx.recv();
             };
-            let result = runner(faults, &mut on_batch)
-                .map(Box::new)
-                .map_err(|e| e.to_string());
+            // A panicking UDF fails this job only: without the catch the
+            // thread would die without reporting, and `settle` would wait
+            // for it forever.
+            let result = match catch_unwind(AssertUnwindSafe(|| runner(faults, &mut on_batch))) {
+                Ok(run) => run.map(Box::new).map_err(|e| e.to_string()),
+                Err(panic) => Err(format!("job panicked: {}", panic_message(panic.as_ref()))),
+            };
             let _ = tx.send(FromJob::Done { id, result });
         }));
     }
@@ -351,7 +349,7 @@ impl Server {
     fn running_unparked(&self) -> usize {
         self.jobs
             .iter()
-            .filter(|e| e.phase == JobPhase::Running && !e.paused)
+            .filter(|e| e.phase == JobPhase::Running && e.view.is_none())
             .count()
     }
 
@@ -363,14 +361,14 @@ impl Server {
         loop {
             while self.running_unparked() > 0 {
                 match self.rx.recv() {
-                    Ok(FromJob::Paused { id, progress }) => {
+                    Ok(FromJob::Paused { id, view }) => {
                         let entry = &mut self.jobs[id as usize];
-                        entry.paused = true;
-                        entry.progress = Some(progress);
+                        entry.progress = Some(view.progress().clone());
+                        entry.view = Some(view);
                     }
                     Ok(FromJob::Done { id, result }) => {
                         let entry = &mut self.jobs[id as usize];
-                        entry.paused = false;
+                        entry.view = None;
                         match result {
                             Ok(outcome) => {
                                 entry.phase = JobPhase::Finished;
@@ -422,15 +420,23 @@ impl Server {
         }
     }
 
-    /// Books a completed job out: slot release, terminal trace event and
-    /// quarantine-file write. Runs only at quiescent points, in id order.
+    /// Books a completed job out: slot release, terminal trace event,
+    /// output index and quarantine-file write. Runs only at quiescent
+    /// points, in id order.
     fn finalize(&mut self, id: u32) -> Result<()> {
         let entry = &mut self.jobs[id as usize];
         entry.finalized = true;
-        entry.cmd = None;
+        entry.grant = None;
         if let Some(h) = entry.handle.take() {
             h.join()
                 .map_err(|_| Error::job(format!("job {id} thread panicked")))?;
+        }
+        if let Some(outcome) = &entry.outcome {
+            // Keep the first occurrence: a job like sessionization emits
+            // one key more than once.
+            for (i, p) in outcome.job.output.iter().enumerate() {
+                entry.output_index.entry(p.key.clone()).or_insert(i);
+            }
         }
         let failed = entry.phase == JobPhase::Failed;
         let tenant = entry.tenant;
@@ -471,7 +477,7 @@ impl Server {
         let parked: Vec<u32> = (0..self.jobs.len() as u32)
             .filter(|&id| {
                 let e = &self.jobs[id as usize];
-                e.phase == JobPhase::Running && e.paused
+                e.phase == JobPhase::Running && e.view.is_some()
             })
             .collect();
         if parked.is_empty() && self.wait_queue.is_empty() {
@@ -481,7 +487,9 @@ impl Server {
         for id in parked {
             let entry = &mut self.jobs[id as usize];
             entry.waves += 1;
-            entry.paused = false;
+            // Drop the view before the grant, so the job's next write
+            // finds its tables unshared and copies nothing.
+            entry.view = None;
             let wave = entry.waves;
             let tenant = entry.tenant;
             self.trace.push(TraceEvent::WaveGrant {
@@ -490,11 +498,12 @@ impl Server {
                 job: id,
                 wave,
             });
-            let cmd = self.jobs[id as usize]
-                .cmd
+            let grant = self.jobs[id as usize]
+                .grant
                 .as_ref()
-                .expect("running job keeps its command channel");
-            cmd.send(ToJob::Continue)
+                .expect("running job keeps its grant channel");
+            grant
+                .send(())
                 .map_err(|_| Error::job(format!("job {id} hung up mid-run")))?;
         }
         self.settle()?;
@@ -507,9 +516,10 @@ impl Server {
         Ok(())
     }
 
-    /// Answers a query against `job`'s live state. A running job answers
-    /// from its parked [`BatchCtl`] (resident partial aggregates); a
-    /// finished job answers from its final outcome.
+    /// Answers a query against `job`'s live state, on the calling
+    /// thread. A running job answers from the [`LiveView`] of its last
+    /// seal (resident partial aggregates); a finished job answers from
+    /// its final outcome.
     pub fn query(&self, job: u32, query: &ServeQuery) -> Result<ServeAnswer> {
         let entry = self
             .jobs
@@ -517,16 +527,11 @@ impl Server {
             .ok_or_else(|| Error::job(format!("unknown job {job}")))?;
         match entry.phase {
             JobPhase::Running => {
-                let cmd = entry.cmd.as_ref().expect("running job has a channel");
-                let (reply_tx, reply_rx) = channel();
-                cmd.send(ToJob::Query {
-                    query: query.clone(),
-                    reply: reply_tx,
-                })
-                .map_err(|_| Error::job(format!("job {job} hung up")))?;
-                reply_rx
-                    .recv()
-                    .map_err(|_| Error::job(format!("job {job} dropped a query")))
+                let view = entry
+                    .view
+                    .as_ref()
+                    .ok_or_else(|| Error::job(format!("job {job} is not parked")))?;
+                Ok(answer_live(view, query))
             }
             JobPhase::Finished => {
                 let outcome = entry.outcome.as_ref().expect("finished job has an outcome");
@@ -635,11 +640,12 @@ impl Server {
 
 impl Drop for Server {
     fn drop(&mut self) {
-        // Unpark every surviving job thread (dropping its command channel
+        // Unpark every surviving job thread (dropping its grant channel
         // makes the pause callback return immediately) and join, so no
-        // thread outlives the server.
+        // thread outlives the server. Views go first, as in `step`.
         for entry in &mut self.jobs {
-            entry.cmd = None;
+            entry.view = None;
+            entry.grant = None;
         }
         for entry in &mut self.jobs {
             if let Some(h) = entry.handle.take() {
@@ -649,41 +655,38 @@ impl Drop for Server {
     }
 }
 
-fn answer_live(ctl: &BatchCtl<'_, '_>, query: &ServeQuery) -> ServeAnswer {
+/// The message of a caught panic payload.
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
+    payload
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("non-string panic payload")
+}
+
+fn answer_live(view: &LiveView, query: &ServeQuery) -> ServeAnswer {
     match query {
-        ServeQuery::Lookup(key) => ServeAnswer::Value(ctl.lookup(key)),
+        ServeQuery::Lookup(key) => ServeAnswer::Value(view.lookup(key)),
         ServeQuery::LookupBatch(keys) => {
-            ServeAnswer::Values(keys.iter().map(|k| ctl.lookup(k)).collect())
+            ServeAnswer::Values(keys.iter().map(|k| view.lookup(k)).collect())
         }
-        ServeQuery::TopK(k) => ServeAnswer::TopK(ctl.top_k(*k)),
-        ServeQuery::Progress => ServeAnswer::Progress(ctl.progress()),
+        ServeQuery::TopK(k) => ServeAnswer::TopK(view.top_k(*k)),
+        ServeQuery::Progress => ServeAnswer::Progress(view.progress().clone()),
     }
 }
 
 fn answer_finished(entry: &JobEntry, outcome: &StreamOutcome, query: &ServeQuery) -> ServeAnswer {
+    // After completion the resident state is gone; the final output pairs
+    // are the authoritative answer, found through the output index.
+    let lookup = |key: &Key| {
+        entry
+            .output_index
+            .get(key)
+            .map(|&i| outcome.job.output[i].value.clone())
+    };
     match query {
-        // After completion the resident state is gone; the final output
-        // pairs are the authoritative answer.
-        ServeQuery::Lookup(key) => ServeAnswer::Value(
-            outcome
-                .job
-                .output
-                .iter()
-                .find(|p| &p.key == key)
-                .map(|p| p.value.clone()),
-        ),
-        ServeQuery::LookupBatch(keys) => ServeAnswer::Values(
-            keys.iter()
-                .map(|key| {
-                    outcome
-                        .job
-                        .output
-                        .iter()
-                        .find(|p| &p.key == key)
-                        .map(|p| p.value.clone())
-                })
-                .collect(),
-        ),
+        ServeQuery::Lookup(key) => ServeAnswer::Value(lookup(key)),
+        ServeQuery::LookupBatch(keys) => ServeAnswer::Values(keys.iter().map(lookup).collect()),
         ServeQuery::TopK(_) => ServeAnswer::TopK(None),
         ServeQuery::Progress => {
             ServeAnswer::Progress(entry.progress.clone().unwrap_or(StreamProgress {

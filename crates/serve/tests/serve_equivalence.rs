@@ -5,15 +5,22 @@
 //! must be bit-identical to a solo `StreamJobBuilder` run of the same
 //! spec, at every engine thread count and under fault injection.
 
-use opa_common::{ExecConfig, FaultConfig, Key};
+use opa_common::{ExecConfig, FaultConfig, Key, Value};
+use opa_core::api::{Combiner, IncrementalReducer, Job, ReduceCtx};
 use opa_core::cluster::{ClusterSpec, Framework};
 use opa_core::job::JobInput;
-use opa_serve::{AdmissionOutcome, JobPhase, JobSpec, ServeConfig, ServeQuery, Server};
+use opa_core::reduce::TopEntry;
+use opa_serve::{
+    AdmissionOutcome, JobPhase, JobSpec, ServeAnswer, ServeConfig, ServeQuery, Server,
+};
 use opa_simio::codec::crc32;
-use opa_stream::{StreamJobBuilder, StreamOutcome};
+use opa_stream::{BatchCtl, StreamJobBuilder, StreamOutcome};
 use opa_workloads::clickstream::ClickStreamSpec;
-use opa_workloads::{ClickCountJob, FrequentUsersJob, PageFreqJob};
+use opa_workloads::{ClickCountJob, FrequentUsersJob, PageFreqJob, SessionizeJob};
+use std::collections::BTreeSet;
+use std::sync::mpsc;
 use std::sync::Arc;
+use std::time::Duration;
 
 fn input() -> Arc<JobInput> {
     Arc::new(ClickStreamSpec::counting_scaled(1 << 20).generate(42))
@@ -40,10 +47,16 @@ fn page_freq() -> PageFreqJob {
 
 /// The reference run: the same job driven by `StreamJobBuilder`
 /// directly, with nobody else on the machine.
-fn solo(
+fn solo(spec: &JobSpec, job: impl Job + Clone + 'static, input: &JobInput) -> StreamOutcome {
+    solo_with(spec, job, input, |_| {})
+}
+
+/// [`solo`] with a per-batch callback.
+fn solo_with(
     spec: &JobSpec,
-    job: impl opa_core::api::Job + Clone + 'static,
+    job: impl Job + Clone + 'static,
     input: &JobInput,
+    on_batch: impl FnMut(&mut BatchCtl),
 ) -> StreamOutcome {
     StreamJobBuilder::new(job)
         .framework(spec.framework)
@@ -54,7 +67,7 @@ fn solo(
         .faults(spec.faults)
         .batches(spec.batches)
         .trace(spec.trace)
-        .run_stream(input, |_| {})
+        .run_stream(input, on_batch)
         .expect("solo run")
 }
 
@@ -393,4 +406,243 @@ fn batched_lookup_matches_single_lookups_live_and_finished() {
         live_hits > 0 && finished_hits > 0,
         "vacuous: no probe key ever resolved (live {live_hits}, finished {finished_hits})"
     );
+}
+
+/// Click counting whose map UDF panics on one chosen record: a tenant's
+/// buggy code.
+#[derive(Clone)]
+struct PanickingJob {
+    inner: ClickCountJob,
+    poison: Vec<u8>,
+}
+
+impl Job for PanickingJob {
+    fn name(&self) -> &str {
+        "panicking"
+    }
+
+    fn map(&self, record: &[u8], emit: &mut dyn FnMut(&[u8], &[u8])) {
+        assert!(record != self.poison.as_slice(), "tenant UDF bug");
+        self.inner.map(record, emit);
+    }
+
+    fn reduce(&self, key: &Key, values: Vec<Value>, ctx: &mut ReduceCtx) {
+        self.inner.reduce(key, values, ctx);
+    }
+
+    fn combiner(&self) -> Option<&dyn Combiner> {
+        self.inner.combiner()
+    }
+
+    fn incremental(&self) -> Option<&dyn IncrementalReducer> {
+        self.inner.incremental()
+    }
+
+    fn expected_keys(&self) -> Option<u64> {
+        self.inner.expected_keys()
+    }
+
+    fn state_size_hint(&self) -> Option<u64> {
+        self.inner.state_size_hint()
+    }
+}
+
+/// A tenant whose UDF panics mid-run fails alone: the drain finishes,
+/// the job ends `Failed` with the panic message and frees its slot, and
+/// the two other tenants' outcomes stay bit-identical to their solo
+/// runs. At two engine threads the panic happens on a pool worker and
+/// reaches the job thread through the pool.
+#[test]
+fn panicking_tenant_fails_alone_and_the_drain_finishes() {
+    for threads in [1usize, 2] {
+        // A hang is the defect under test, so the scenario runs on its
+        // own thread and a timeout turns a hang into a failure.
+        let (done_tx, done_rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            let data = input();
+            let clean = spec_at(threads, FaultConfig::disabled());
+            let dinc = JobSpec {
+                framework: Framework::DincHash,
+                ..clean.clone()
+            };
+            let panicking = PanickingJob {
+                inner: click_count(),
+                poison: data.records[data.len() / 2].to_vec(),
+            };
+            let mut server = Server::new(ServeConfig::default());
+            let a = server
+                .submit(0, click_count(), Arc::clone(&data), &clean)
+                .expect("submit a");
+            let p = server
+                .submit(1, panicking, Arc::clone(&data), &clean)
+                .expect("submit panicking");
+            let c = server
+                .submit(2, frequent_users(), Arc::clone(&data), &dinc)
+                .expect("submit c");
+            server.run_to_completion().expect("server drains");
+
+            let status = &server.status()[p.job as usize];
+            assert_eq!(status.phase, JobPhase::Failed, "@ {threads} threads");
+            let error = status.error.as_deref().unwrap_or_default();
+            assert!(
+                error.starts_with("job panicked: "),
+                "@ {threads} threads: unexpected error {error:?}"
+            );
+            let book = server.book(1).expect("panicking tenant's book");
+            assert_eq!((book.running, book.failed), (0, 1), "slot not freed");
+            assert!(server.query(p.job, &ServeQuery::Progress).is_err());
+
+            let ctx = |name: &str| format!("{name} beside a panicking tenant @ {threads} threads");
+            assert_outcome_identical(
+                server.outcome(a.job).expect("a finished"),
+                &solo(&clean, click_count(), &data),
+                &ctx("click_count"),
+            );
+            assert_outcome_identical(
+                server.outcome(c.job).expect("c finished"),
+                &solo(&dinc, frequent_users(), &data),
+                &ctx("frequent_users"),
+            );
+            done_tx.send(()).expect("report");
+        });
+        match done_rx.recv_timeout(Duration::from_secs(300)) {
+            Ok(()) => {}
+            Err(mpsc::RecvTimeoutError::Timeout) => {
+                panic!("drain hung beside a panicking tenant @ {threads} threads")
+            }
+            Err(mpsc::RecvTimeoutError::Disconnected) => {
+                panic!("scenario failed @ {threads} threads (see its panic above)")
+            }
+        }
+    }
+}
+
+/// Every distinct key `job`'s map function emits over `input`.
+fn input_keys(job: &impl Job, input: &JobInput) -> Vec<Key> {
+    let mut keys = BTreeSet::new();
+    for record in &input.records {
+        job.map(record, &mut |k, _| {
+            keys.insert(k.to_vec());
+        });
+    }
+    keys.iter().map(|k| Key::from_slice(k)).collect()
+}
+
+/// What one pause point answered: a lookup per key, and the top-k.
+type Reads = (Vec<Option<Value>>, Option<(Vec<TopEntry>, f64)>);
+
+/// Queries on a running job are answered on the caller's thread from the
+/// view of its last seal. At every wave, `LookupBatch` over every input
+/// key and `TopK` must equal what a solo run's callback read at the same
+/// batch, and serving reads must leave the outcome bit-identical.
+#[test]
+fn live_reads_at_every_wave_match_solo_in_callback_reads() {
+    const TOPK: usize = 8;
+    let data = input();
+    let keys = input_keys(&click_count(), &data);
+    for framework in [Framework::IncHash, Framework::DincHash] {
+        let spec = JobSpec {
+            framework,
+            ..spec_at(2, FaultConfig::disabled())
+        };
+        let mut solo_reads: Vec<Reads> = Vec::new();
+        let reference = solo_with(&spec, click_count(), &data, |ctl| {
+            let values = keys.iter().map(|k| ctl.lookup(k)).collect();
+            solo_reads.push((values, ctl.top_k(TOPK)));
+        });
+
+        let mut server = Server::new(ServeConfig::default());
+        let job = server
+            .submit(0, click_count(), Arc::clone(&data), &spec)
+            .expect("submit")
+            .job;
+        // A neighbour interleaved wave by wave.
+        server
+            .submit(1, frequent_users(), Arc::clone(&data), &spec)
+            .expect("submit neighbour");
+        let mut served_reads: Vec<Reads> = Vec::new();
+        while server.status()[job as usize].phase == JobPhase::Running {
+            let Ok(ServeAnswer::Values(values)) =
+                server.query(job, &ServeQuery::LookupBatch(keys.clone()))
+            else {
+                panic!("LookupBatch failed on a running job");
+            };
+            let Ok(ServeAnswer::TopK(top)) = server.query(job, &ServeQuery::TopK(TOPK)) else {
+                panic!("TopK failed on a running job");
+            };
+            served_reads.push((values, top));
+            server.step().expect("wave step");
+        }
+        server.run_to_completion().expect("server drains");
+
+        let ctx = format!("{framework:?}");
+        assert_eq!(served_reads.len(), spec.batches, "{ctx}: one read per wave");
+        for (wave, (served, solo)) in served_reads.iter().zip(&solo_reads).enumerate() {
+            assert_eq!(served, solo, "{ctx}: reads diverge at wave {}", wave + 1);
+        }
+        let resident = served_reads[0].0.iter().filter(|v| v.is_some()).count();
+        assert!(resident > 0, "{ctx}: vacuous, no key resident at wave 1");
+        assert_eq!(
+            served_reads.iter().any(|(_, top)| top.is_some()),
+            framework == Framework::DincHash,
+            "{ctx}: only DINC-hash answers top-k"
+        );
+        assert_outcome_identical(server.outcome(job).expect("finished"), &reference, &ctx);
+    }
+}
+
+/// Lookups on a finished job go through an index over its output, with
+/// the linear scan's first-occurrence semantics: sessionization emits a
+/// user once per session, so present, absent and duplicated keys all
+/// answer exactly as a scan from the front would.
+#[test]
+fn finished_lookups_match_a_linear_scan() {
+    let data = Arc::new(ClickStreamSpec::small().generate(33));
+    let job = SessionizeJob {
+        gap_secs: 300,
+        slack_secs: 400,
+        state_capacity: 16384,
+        charge_fixed_footprint: false,
+        expected_users: 100,
+    };
+    let mut server = Server::new(ServeConfig::default());
+    let id = server
+        .submit(0, job, data, &spec_at(1, FaultConfig::disabled()))
+        .expect("submit")
+        .job;
+    server.run_to_completion().expect("drain");
+    let output = &server.outcome(id).expect("finished").job.output;
+    let scan = |key: &Key| {
+        output
+            .iter()
+            .find(|p| &p.key == key)
+            .map(|p| p.value.clone())
+    };
+
+    let present: BTreeSet<Key> = output.iter().map(|p| p.key.clone()).collect();
+    let duplicated: Vec<Key> = present
+        .iter()
+        .filter(|k| output.iter().filter(|p| &p.key == *k).count() > 1)
+        .cloned()
+        .collect();
+    assert!(!duplicated.is_empty(), "vacuous: no key emitted twice");
+    let absent: Vec<Key> = [Key::from_u64(u64::MAX), Key::from_slice(b"no such user")]
+        .into_iter()
+        .filter(|k| !present.contains(k))
+        .collect();
+    assert_eq!(absent.len(), 2);
+
+    let keys: Vec<Key> = present.iter().chain(&absent).cloned().collect();
+    for key in &keys {
+        let Ok(ServeAnswer::Value(v)) = server.query(id, &ServeQuery::Lookup(key.clone())) else {
+            panic!("Lookup failed on a finished job");
+        };
+        assert_eq!(v, scan(key), "Lookup({key:?})");
+    }
+    let Ok(ServeAnswer::Values(vals)) = server.query(id, &ServeQuery::LookupBatch(keys.clone()))
+    else {
+        panic!("LookupBatch failed on a finished job");
+    };
+    let expected: Vec<Option<Value>> = keys.iter().map(scan).collect();
+    assert_eq!(vals, expected, "LookupBatch");
 }

@@ -23,7 +23,7 @@
 //! thread count and any `k`.
 
 use crate::checkpoint::{DeferredDelivery, Fingerprint, QueuedEvent, SavedState};
-use crate::query::BatchCtl;
+use crate::query::{BatchCtl, LiveView, StreamProgress};
 use opa_common::fault::{FaultConfig, FaultEvent, FaultKind, FaultReport};
 use opa_common::units::{SimDuration, SimTime};
 use opa_common::{Error, ExecConfig, HashFamily, Pair, Result, StreamConfig};
@@ -143,7 +143,7 @@ pub(crate) fn drive<'j>(
     cfg: &DriverConfig<'_>,
     input: &JobInput,
     resume: Option<SavedState>,
-    on_batch: &mut dyn FnMut(&mut BatchCtl<'_, 'j>),
+    on_batch: &mut dyn FnMut(&mut BatchCtl),
 ) -> Result<StreamOutcome> {
     let spec = cfg.spec;
     let faults = cfg.faults;
@@ -501,20 +501,29 @@ pub(crate) fn drive<'j>(
                     batches: k as u32,
                     records: boundaries[next_batch] as u64,
                 });
-                let mut ctl = BatchCtl {
-                    batch: sealed,
+                let progress = StreamProgress {
+                    batches_sealed: sealed,
                     batches: k,
                     records_sealed: boundaries[next_batch],
                     total_records: n_records,
                     maps_completed,
                     maps_total: num_chunks,
+                    watermark: reducers
+                        .iter()
+                        .filter_map(|r| r.as_ref()?.watermark())
+                        .max(),
                     sim_time: now,
-                    h1,
-                    reducers: &reducers,
+                };
+                let mut ctl = BatchCtl {
+                    view: LiveView::capture(h1, &reducers, progress),
                     checkpoint_request: None,
                 };
                 on_batch(&mut ctl);
                 let requested = ctl.checkpoint_request.take();
+                // Release this seal's view before the engine writes again:
+                // the next delivery then finds every table unshared (a
+                // clone the callback kept costs one copy, nothing more).
+                drop(ctl);
                 next_batch = sealed;
                 if next_batch < k {
                     // The sealing window advanced: deliveries from chunks

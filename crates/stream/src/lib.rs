@@ -53,7 +53,7 @@ pub mod query;
 
 pub use checkpoint::{Fingerprint, QueuedEvent, SavedState};
 pub use driver::StreamOutcome;
-pub use query::{BatchCtl, CheckpointView, StreamProgress};
+pub use query::{BatchCtl, CheckpointView, LiveView, StreamProgress};
 
 use driver::DriverConfig;
 use opa_common::fault::FaultConfig;
@@ -254,7 +254,7 @@ impl<J: Job> StreamJobBuilder<J> {
     pub fn run_stream(
         &self,
         input: &JobInput,
-        mut on_batch: impl FnMut(&mut BatchCtl<'_, '_>),
+        mut on_batch: impl FnMut(&mut BatchCtl),
     ) -> Result<StreamOutcome> {
         self.validate(input)?;
         driver::drive(&self.job, &self.driver_config(), input, None, &mut on_batch)
@@ -269,7 +269,7 @@ impl<J: Job> StreamJobBuilder<J> {
         &self,
         input: &JobInput,
         checkpoint: &Path,
-        mut on_batch: impl FnMut(&mut BatchCtl<'_, '_>),
+        mut on_batch: impl FnMut(&mut BatchCtl),
     ) -> Result<StreamOutcome> {
         self.validate(input)?;
         let saved = SavedState::read_from(checkpoint)?;

@@ -7,13 +7,19 @@
 //! (Theorem 1). Keys route to reducers with the same `h1` partitioning
 //! hash the map side uses, so a lookup lands on exactly the reducer that
 //! owns the key.
+//!
+//! The live view ([`LiveView`]) is built once per seal from each
+//! reducer's [`opa_core::reduce::ReduceSide::view`]: it shares the
+//! reducers' tables copy-on-write, so any thread can read it while the
+//! job runs on, and it keeps answering for the seal it was taken at.
 
 use crate::checkpoint::{QueuedEvent, SavedState};
 use opa_common::units::SimTime;
 use opa_common::{Error, HashFamily, HashFn, Key, Result, Value};
 use opa_core::cluster::Framework;
-use opa_core::reduce::{ReduceSide, ReducerCkpt, TopEntry};
+use opa_core::reduce::{ReduceSide, ReducerCkpt, StateView, TopEntry};
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 /// Progress metadata of a paused stream job.
 #[derive(Debug, Clone, PartialEq)]
@@ -40,29 +46,36 @@ pub struct StreamProgress {
     pub sim_time: SimTime,
 }
 
-/// The control handle passed to the per-batch callback of a stream run.
+/// The queryable state of a stream job as of one seal: routing hash,
+/// one read view per reducer, and the progress at that pause point.
 ///
-/// Queries answer from *resident* reducer state: partial aggregates over
-/// everything absorbed so far. Checkpoint requests are recorded here and
-/// performed by the driver immediately after the callback returns (the
-/// driver owns the full engine state).
-pub struct BatchCtl<'c, 'j> {
-    pub(crate) batch: usize,
-    pub(crate) batches: usize,
-    pub(crate) records_sealed: usize,
-    pub(crate) total_records: usize,
-    pub(crate) maps_completed: usize,
-    pub(crate) maps_total: usize,
-    pub(crate) sim_time: SimTime,
-    pub(crate) h1: HashFn,
-    pub(crate) reducers: &'c [Option<Box<dyn ReduceSide + Send + 'j>>],
-    pub(crate) checkpoint_request: Option<PathBuf>,
+/// Cloning is one `Arc` clone, and the view is `Send + Sync`, so it can
+/// be handed to another thread and read there while the job runs on. It
+/// keeps answering for the seal it was taken at: the engine copies a
+/// reducer's table before writing to it while any view still shares it.
+/// Drop views promptly — one held across a seal costs that copy.
+#[derive(Clone)]
+pub struct LiveView {
+    h1: HashFn,
+    reducers: Arc<[Option<Arc<dyn StateView + Send + Sync>>]>,
+    progress: StreamProgress,
 }
 
-impl BatchCtl<'_, '_> {
-    /// The just-sealed micro-batch, 1-based.
-    pub fn batch(&self) -> usize {
-        self.batch
+impl LiveView {
+    /// Captures every reducer's view at a pause point.
+    pub(crate) fn capture(
+        h1: HashFn,
+        reducers: &[Option<Box<dyn ReduceSide + Send + '_>>],
+        progress: StreamProgress,
+    ) -> LiveView {
+        LiveView {
+            h1,
+            reducers: reducers
+                .iter()
+                .map(|r| r.as_ref().and_then(|r| r.view()))
+                .collect(),
+            progress,
+        }
     }
 
     /// Point lookup of `key`'s resident partial aggregate. Routes to the
@@ -71,7 +84,7 @@ impl BatchCtl<'_, '_> {
     /// unmonitored key under DINC, or a key spilled to disk).
     pub fn lookup(&self, key: &Key) -> Option<Value> {
         let r = self.h1.bucket(key.bytes(), self.reducers.len());
-        self.reducers[r].as_ref()?.query(key)
+        self.reducers[r].as_ref()?.lookup(key)
     }
 
     /// The top `k` keys by estimated frequency across all reducers, with
@@ -82,27 +95,55 @@ impl BatchCtl<'_, '_> {
             k,
             self.reducers
                 .iter()
-                .filter_map(|r| r.as_ref())
-                .filter_map(|r| r.top_entries(k)),
+                .filter_map(|r| r.as_ref()?.top_entries(k)),
         )
+    }
+
+    /// Progress and watermark metadata at this view's pause point.
+    pub fn progress(&self) -> &StreamProgress {
+        &self.progress
+    }
+}
+
+/// The control handle passed to the per-batch callback of a stream run.
+///
+/// Queries answer from *resident* reducer state through the seal's
+/// [`LiveView`]: partial aggregates over everything absorbed so far.
+/// Checkpoint requests are recorded here and performed by the driver
+/// immediately after the callback returns (the driver owns the full
+/// engine state).
+pub struct BatchCtl {
+    pub(crate) view: LiveView,
+    pub(crate) checkpoint_request: Option<PathBuf>,
+}
+
+impl BatchCtl {
+    /// The just-sealed micro-batch, 1-based.
+    pub fn batch(&self) -> usize {
+        self.view.progress.batches_sealed
+    }
+
+    /// Point lookup of `key`'s resident partial aggregate (see
+    /// [`LiveView::lookup`]).
+    pub fn lookup(&self, key: &Key) -> Option<Value> {
+        self.view.lookup(key)
+    }
+
+    /// The global DINC top-k answer with its γ bound (see
+    /// [`LiveView::top_k`]).
+    pub fn top_k(&self, k: usize) -> Option<(Vec<TopEntry>, f64)> {
+        self.view.top_k(k)
     }
 
     /// Progress and watermark metadata at this pause point.
     pub fn progress(&self) -> StreamProgress {
-        StreamProgress {
-            batches_sealed: self.batch,
-            batches: self.batches,
-            records_sealed: self.records_sealed,
-            total_records: self.total_records,
-            maps_completed: self.maps_completed,
-            maps_total: self.maps_total,
-            watermark: self
-                .reducers
-                .iter()
-                .filter_map(|r| r.as_ref().and_then(|r| r.watermark()))
-                .max(),
-            sim_time: self.sim_time,
-        }
+        self.view.progress.clone()
+    }
+
+    /// This seal's read view. Clone it to read the state from another
+    /// thread or after the callback returns.
+    pub fn view(&self) -> &LiveView {
+        &self.view
     }
 
     /// Requests a checkpoint at this pause point. The driver writes it to

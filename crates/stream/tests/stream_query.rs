@@ -1,12 +1,14 @@
-//! The live query surface ([`BatchCtl`]) and its offline twin
-//! ([`CheckpointView`]): point lookups route to the owning reducer, the
-//! DINC top-k answer carries its γ coverage bound, watermarks advance,
+//! The live query surface ([`BatchCtl`], [`LiveView`]) and its offline
+//! twin ([`CheckpointView`]): point lookups route to the owning reducer,
+//! the DINC top-k answer carries its γ coverage bound, watermarks
+//! advance, a view kept past later seals still answers for its own seal,
 //! and a checkpoint answers exactly what the live state answered at the
 //! pause point it was taken.
 
-use opa_common::Key;
+use opa_common::{Key, Value};
 use opa_core::cluster::{ClusterSpec, Framework};
-use opa_stream::{CheckpointView, StreamJobBuilder};
+use opa_core::reduce::TopEntry;
+use opa_stream::{CheckpointView, LiveView, StreamJobBuilder};
 use opa_workloads::click_count::ClickCountJob;
 use opa_workloads::clickstream::ClickStreamSpec;
 use opa_workloads::sessionize::SessionizeJob;
@@ -210,4 +212,43 @@ fn watermarks_advance_with_the_stream() {
         present.windows(2).all(|w| w[0] <= w[1]),
         "watermark never regresses: {wms:?}"
     );
+}
+
+#[test]
+fn a_view_held_past_later_seals_answers_for_its_own_seal() {
+    // Clone every seal's view in the callback and read them all after the
+    // run: each must still answer what `BatchCtl` answered at its seal,
+    // although the job wrote to (and finally drained) the same tables
+    // afterwards. Holding views must not change the outcome either.
+    type Reads = (Vec<Option<Value>>, Option<(Vec<TopEntry>, f64)>);
+    let data = ClickStreamSpec::small().generate(101);
+    let probes: Vec<Key> = (0..100).map(Key::from_u64).collect();
+    for fw in [Framework::IncHash, Framework::DincHash] {
+        let builder = StreamJobBuilder::new(click_job())
+            .framework(fw)
+            .cluster(ClusterSpec::tiny())
+            .batches(5);
+        let mut held: Vec<(LiveView, Reads)> = Vec::new();
+        let outcome = builder
+            .run_stream(&data, |ctl| {
+                let reads = (probes.iter().map(|k| ctl.lookup(k)).collect(), ctl.top_k(5));
+                held.push((ctl.view().clone(), reads));
+            })
+            .expect("stream runs");
+        assert_eq!(held.len(), 5, "{fw:?}: one view per seal");
+        for (batch, (view, (values, top))) in held.iter().enumerate() {
+            let ctx = format!("{fw:?}, view of batch {}", batch + 1);
+            assert_eq!(view.progress().batches_sealed, batch + 1, "{ctx}");
+            let now: Vec<Option<Value>> = probes.iter().map(|k| view.lookup(k)).collect();
+            assert_eq!(&now, values, "{ctx}: lookups changed after the seal");
+            assert_eq!(&view.top_k(5), top, "{ctx}: top-k changed after the seal");
+        }
+        let first = &held[0].1 .0;
+        let last = &held[4].1 .0;
+        assert_ne!(first, last, "{fw:?}: vacuous, state never changed");
+
+        let unheld = builder.run_stream(&data, |_| {}).expect("stream runs");
+        assert_eq!(outcome.job.output, unheld.job.output, "{fw:?}: output");
+        assert_eq!(outcome.job.metrics, unheld.job.metrics, "{fw:?}: metrics");
+    }
 }
