@@ -462,8 +462,7 @@ fn combine_sweep() -> Vec<CombineRow> {
                 scope: scope.label(),
                 shuffle_bytes: outcome.metrics.shuffle_bytes,
                 map_output_bytes: outcome.metrics.map_output_bytes,
-                ratio: outcome.metrics.shuffle_bytes as f64
-                    / (RECORDS as f64 * model.pair_bytes),
+                ratio: outcome.metrics.shuffle_bytes as f64 / (RECORDS as f64 * model.pair_bytes),
                 flushes: nc.map_or(0, |s| s.flushes),
                 merged_rows: nc.map_or(0, |s| s.merged_rows),
                 model_bytes: model.shuffle_bytes(scope),

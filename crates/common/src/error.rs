@@ -26,6 +26,10 @@ pub enum Error {
     /// The engine detected an internal invariant violation. Seeing this is
     /// always a bug in OPA itself, never a user error.
     Internal(String),
+    /// A job run panicked — in a user function, a stream callback or the
+    /// engine — and the engine caught the panic. The payload is the panic
+    /// message.
+    Panicked(String),
 }
 
 impl Error {
@@ -48,6 +52,11 @@ impl Error {
     pub fn internal(msg: impl Into<String>) -> Self {
         Error::Internal(msg.into())
     }
+
+    /// Shorthand constructor for [`Error::Panicked`].
+    pub fn panicked(msg: impl Into<String>) -> Self {
+        Error::Panicked(msg.into())
+    }
 }
 
 impl fmt::Display for Error {
@@ -57,6 +66,7 @@ impl fmt::Display for Error {
             Error::InvalidJob(m) => write!(f, "invalid job: {m}"),
             Error::Storage(m) => write!(f, "storage error: {m}"),
             Error::Internal(m) => write!(f, "internal invariant violated: {m}"),
+            Error::Panicked(m) => write!(f, "job panicked: {m}"),
         }
     }
 }

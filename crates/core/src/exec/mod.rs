@@ -38,4 +38,5 @@ mod pool;
 
 pub use gather::Gather;
 pub use planner::Planner;
+pub(crate) use pool::panic_message;
 pub use pool::{Pool, Task};

@@ -31,8 +31,8 @@
 //! with one wake decision instead of one notify per task.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::thread::Scope;
 use std::time::Duration;
 
@@ -55,7 +55,9 @@ struct Shared<'env> {
     sleepers: AtomicUsize,
     park: Mutex<ParkState>,
     cv: Condvar,
-    panicked: AtomicBool,
+    /// The first worker panic's message, re-raised by
+    /// [`Pool::assert_healthy`]. Set once, with release/acquire ordering.
+    panicked: OnceLock<String>,
 }
 
 struct ParkState {
@@ -81,7 +83,7 @@ impl<'env> Pool<'env> {
             sleepers: AtomicUsize::new(0),
             park: Mutex::new(ParkState { shutdown: false }),
             cv: Condvar::new(),
-            panicked: AtomicBool::new(false),
+            panicked: OnceLock::new(),
         });
         for i in 0..workers {
             let sh = Arc::clone(&shared);
@@ -121,6 +123,28 @@ impl<'env> Pool<'env> {
             self.enqueue(task);
         }
         self.wake(n);
+    }
+
+    /// Runs a batch: every task but the last goes to the pool through
+    /// [`Pool::submit_batch`], and the caller runs the last one itself —
+    /// no handoff for a one-task batch, and the caller stays busy
+    /// instead of waiting. With no workers every task runs inline, in
+    /// order, without being boxed.
+    pub fn run_batch<F: FnOnce() + Send + 'env>(&self, mut tasks: Vec<F>) {
+        let last = tasks.pop();
+        if self.workers == 0 {
+            tasks.into_iter().for_each(|task| task());
+        } else {
+            self.submit_batch(
+                tasks
+                    .into_iter()
+                    .map(|t| Box::new(t) as Task<'env>)
+                    .collect(),
+            );
+        }
+        if let Some(task) = last {
+            task();
+        }
     }
 
     fn enqueue(&self, task: Task<'env>) {
@@ -172,12 +196,12 @@ impl<'env> Pool<'env> {
         false
     }
 
-    /// Propagates a worker-thread panic to the caller. Waiters call this
-    /// inside their wait loops so a crashed worker cannot deadlock the
-    /// scheduler.
+    /// Propagates a worker-thread panic, with its message, to the caller.
+    /// Waiters call this inside their wait loops so a crashed worker
+    /// cannot deadlock the scheduler.
     pub fn assert_healthy(&self) {
-        if self.shared.panicked.load(Ordering::Acquire) {
-            panic!("an execution-layer worker thread panicked");
+        if let Some(msg) = self.shared.panicked.get() {
+            panic!("an execution-layer worker thread panicked: {msg}");
         }
     }
 
@@ -239,11 +263,20 @@ fn grab<'env>(sh: &Shared<'env>, me: usize) -> Option<Task<'env>> {
     None
 }
 
+/// The message of a caught panic payload.
+pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
+    payload
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("non-string panic payload")
+}
+
 fn worker_loop(sh: &Shared<'_>, me: usize) {
     loop {
         if let Some(task) = grab(sh, me) {
-            if std::panic::catch_unwind(std::panic::AssertUnwindSafe(task)).is_err() {
-                sh.panicked.store(true, Ordering::Release);
+            if let Err(payload) = std::panic::catch_unwind(std::panic::AssertUnwindSafe(task)) {
+                let _ = sh.panicked.set(panic_message(payload.as_ref()).to_string());
             }
             continue;
         }

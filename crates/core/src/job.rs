@@ -1,16 +1,22 @@
 //! Job orchestration: the discrete-event loop tying mappers, shuffle and
 //! reducers together.
 //!
-//! One `run` executes the whole MapReduce job: the input is split into
-//! `C`-sized chunks by the block store, map tasks run on each node's map
-//! slots (FIFO over node-local chunks), completed mappers push granules
-//! whose per-reducer payloads travel over the simulated network, and each
-//! reducer — a serial virtual timeline — absorbs deliveries through its
-//! framework and completes once the queue drains. Reducers normally all
-//! start in wave one (`R` ≤ reduce slots); with `R` above the slot count
-//! the extra reducers start only when a first-wave reducer on their node
-//! finishes and must re-read all their map output from the mappers' disks —
-//! the two-wave effect of §3.2(3).
+//! One [`run_job`] executes the whole MapReduce job: the input is split
+//! into `C`-sized chunks by the block store, map tasks run on each node's
+//! map slots (FIFO over node-local chunks), completed mappers push
+//! granules whose per-reducer payloads travel over the simulated network,
+//! and each reducer — a serial virtual timeline — absorbs deliveries
+//! through its framework and completes once the queue drains. Reducers
+//! normally all start in wave one (`R` ≤ reduce slots); with `R` above the
+//! slot count the extra reducers start only when a first-wave reducer on
+//! their node finishes and must re-read all their map output from the
+//! mappers' disks — the two-wave effect of §3.2(3).
+//!
+//! This is the engine's only event loop. A batch run ([`JobBuilder::run`])
+//! goes straight through it; a stream run (`opa-stream`) is the same loop
+//! with a [`Pause`] schedule, whose hook seals micro-batches, serves live
+//! reads and checkpoints through [`LoopCtl`], and whose resume state
+//! seeds the loop from a checkpoint.
 //!
 //! ## Scheduling vs execution
 //!
@@ -26,27 +32,30 @@
 
 use crate::api::Job;
 use crate::cluster::{ClusterSpec, Framework};
-use crate::exec::{Gather, Planner, Pool};
+use crate::exec::{panic_message, Gather, Planner, Pool};
 use crate::fault::{FaultPlan, MapFate};
 use crate::map_phase::{
     abort_map_task, compute_map_task, finish_map_task, straggle_map_task, Payload, PoisonGate,
 };
 use crate::metrics::JobMetrics;
 use crate::progress::{ProgressCurve, ProgressTracker};
+use crate::reduce::dinc_hash::MonitorKind;
 use crate::reduce::{
-    make_reducer, replay, replay_recovery, Effect, ReduceEnv, ReduceSide, ReducerSizing,
-    ReplayTarget,
+    make_reducer, replay, replay_recovery, Effect, ReduceEnv, ReduceSide, ReducerCkpt,
+    ReducerSizing, ReplayTarget,
 };
 use crate::sim::{EventQueue, OpKind, Resources, Span, Usage};
 use bytes::Bytes;
 use opa_common::fault::{FaultConfig, FaultEvent, FaultKind, FaultReport};
 use opa_common::units::{SimDuration, SimTime};
 use opa_common::{
-    Error, ExecConfig, GroupIndex, HashFamily, Pair, RecordBatch, Result, StateBatch, StatePair,
+    AdmissionPolicy, CombineScope, Error, ExecConfig, GroupIndex, HashFamily, Pair, RecordBatch,
+    Result, StateBatch, StatePair,
 };
 use opa_simio::{BlockStore, DiskFaultInjector, IoCategory, IoOp};
 use opa_trace::{TraceEvent, TraceLog};
 use std::collections::VecDeque;
+use std::panic::AssertUnwindSafe;
 
 /// Number of points progress curves are resampled to.
 const PROGRESS_POINTS: usize = 400;
@@ -173,20 +182,88 @@ impl JobOutcome {
     }
 }
 
+/// Everything that configures one run of the job loop, apart from the
+/// job and its input. [`JobBuilder`] and the stream builder both hold one
+/// and hand it to [`run_job`]; [`JobConfig::validate`] is the one place
+/// its values are checked.
+#[derive(Debug, Clone)]
+pub struct JobConfig {
+    /// The reduce-side framework.
+    pub framework: Framework,
+    /// The simulated cluster.
+    pub spec: ClusterSpec,
+    /// The execution layer (host threads).
+    pub exec: ExecConfig,
+    /// Hint for the map output/input ratio `K_m`.
+    pub km_hint: f64,
+    /// DINC's approximate early-termination coverage φ.
+    pub early_stop_coverage: Option<f64>,
+    /// MapReduce-Online snapshot points, as map-progress fractions.
+    pub snapshot_points: Vec<f64>,
+    /// The frequency algorithm behind DINC-hash's monitor.
+    pub dinc_monitor: MonitorKind,
+    /// The reduce-side admission policy.
+    pub admission: AdmissionPolicy,
+    /// Where map output is combined before shuffle.
+    pub combine: CombineScope,
+    /// Deterministic fault injection.
+    pub faults: FaultConfig,
+    /// Whether the run records a structured event trace.
+    pub trace: bool,
+}
+
+impl Default for JobConfig {
+    /// The sort-merge baseline on the paper cluster, sequential, with
+    /// every optional behaviour off.
+    fn default() -> Self {
+        JobConfig {
+            framework: Framework::SortMerge,
+            spec: ClusterSpec::paper_scaled(),
+            exec: ExecConfig::sequential(),
+            km_hint: 1.0,
+            early_stop_coverage: None,
+            snapshot_points: Vec::new(),
+            dinc_monitor: MonitorKind::Frequent,
+            admission: AdmissionPolicy::Off,
+            combine: CombineScope::Task,
+            faults: FaultConfig::disabled(),
+            trace: false,
+        }
+    }
+}
+
+impl JobConfig {
+    /// Checks every value: the cluster, exec and fault configs, each
+    /// snapshot point (a finite map-progress fraction in `[0, 1]`) and φ
+    /// (a fraction in `(0, 1]`).
+    pub fn validate(&self) -> Result<()> {
+        self.spec.validate()?;
+        self.exec.validate()?;
+        self.faults.validate()?;
+        for &p in &self.snapshot_points {
+            if !p.is_finite() || !(0.0..=1.0).contains(&p) {
+                return Err(Error::job(format!(
+                    "snapshot point {p} is not a map-progress fraction in \
+                     [0, 1]; pass fractions of map completion such as \
+                     0.25,0.5,0.75"
+                )));
+            }
+        }
+        if let Some(phi) = self.early_stop_coverage {
+            if !phi.is_finite() || !(0.0..=1.0).contains(&phi) || phi == 0.0 {
+                return Err(Error::job(format!(
+                    "early-stop coverage φ must be a fraction in (0, 1], got {phi}"
+                )));
+            }
+        }
+        Ok(())
+    }
+}
+
 /// Fluent builder for one job run.
 pub struct JobBuilder<J: Job> {
     job: J,
-    framework: Framework,
-    spec: ClusterSpec,
-    exec: ExecConfig,
-    km_hint: f64,
-    early_stop_coverage: Option<f64>,
-    snapshot_points: Vec<f64>,
-    dinc_monitor: crate::reduce::dinc_hash::MonitorKind,
-    admission: opa_common::AdmissionPolicy,
-    combine: opa_common::CombineScope,
-    faults: FaultConfig,
-    trace: bool,
+    cfg: JobConfig,
 }
 
 impl<J: Job> JobBuilder<J> {
@@ -194,17 +271,7 @@ impl<J: Job> JobBuilder<J> {
     pub fn new(job: J) -> Self {
         JobBuilder {
             job,
-            framework: Framework::SortMerge,
-            spec: ClusterSpec::paper_scaled(),
-            exec: ExecConfig::sequential(),
-            km_hint: 1.0,
-            early_stop_coverage: None,
-            snapshot_points: Vec::new(),
-            dinc_monitor: crate::reduce::dinc_hash::MonitorKind::Frequent,
-            admission: opa_common::AdmissionPolicy::Off,
-            combine: opa_common::CombineScope::Task,
-            faults: FaultConfig::disabled(),
-            trace: false,
+            cfg: JobConfig::default(),
         }
     }
 
@@ -213,19 +280,19 @@ impl<J: Job> JobBuilder<J> {
     /// event, deterministic and bit-identical at any thread count. Off by
     /// default (tracing is zero-cost when off).
     pub fn trace(mut self, on: bool) -> Self {
-        self.trace = on;
+        self.cfg.trace = on;
         self
     }
 
     /// Selects the reduce-side framework.
     pub fn framework(mut self, f: Framework) -> Self {
-        self.framework = f;
+        self.cfg.framework = f;
         self
     }
 
     /// Selects the cluster configuration.
     pub fn cluster(mut self, spec: ClusterSpec) -> Self {
-        self.spec = spec;
+        self.cfg.spec = spec;
         self
     }
 
@@ -236,60 +303,58 @@ impl<J: Job> JobBuilder<J> {
     /// cap). The [`JobOutcome`] is bit-identical at any value — threads
     /// only change wall-clock time.
     pub fn threads(mut self, threads: usize) -> Self {
-        self.exec = ExecConfig::with_threads(threads);
+        self.cfg.exec = ExecConfig::with_threads(threads);
         self
     }
 
     /// Sets the full execution-layer configuration.
     pub fn exec(mut self, exec: ExecConfig) -> Self {
-        self.exec = exec;
+        self.cfg.exec = exec;
         self
     }
 
     /// Hints the map output/input ratio `K_m`, used to size hash-framework
     /// bucket fan-outs (defaults to 1.0).
     pub fn km_hint(mut self, km: f64) -> Self {
-        self.km_hint = km;
+        self.cfg.km_hint = km;
         self
     }
 
     /// Enables DINC's approximate early termination at coverage φ.
     pub fn early_stop_coverage(mut self, phi: f64) -> Self {
-        self.early_stop_coverage = Some(phi);
+        self.cfg.early_stop_coverage = Some(phi);
         self
     }
 
     /// Selects the frequency algorithm behind DINC-hash's monitor
     /// (default: FREQUENT, the paper's choice).
-    pub fn dinc_monitor(mut self, kind: crate::reduce::dinc_hash::MonitorKind) -> Self {
-        self.dinc_monitor = kind;
+    pub fn dinc_monitor(mut self, kind: MonitorKind) -> Self {
+        self.cfg.dinc_monitor = kind;
         self
     }
 
     /// Selects the reduce-side admission policy (default: off, the
     /// paper's first-come occupancy). Under
-    /// [`AdmissionPolicy::Lfu`](opa_common::AdmissionPolicy::Lfu) a
-    /// table-full arrival may evict a resident key that a deterministic
-    /// frequency sketch judges colder, instead of spilling itself.
-    pub fn admission(mut self, policy: opa_common::AdmissionPolicy) -> Self {
-        self.admission = policy;
+    /// [`AdmissionPolicy::Lfu`] a table-full arrival may evict a resident
+    /// key that a deterministic frequency sketch judges colder, instead
+    /// of spilling itself.
+    pub fn admission(mut self, policy: AdmissionPolicy) -> Self {
+        self.cfg.admission = policy;
         self
     }
 
     /// Selects where map output is combined before shuffle (default:
-    /// [`CombineScope::Task`](opa_common::CombineScope::Task), the
-    /// engine's historical per-map-task combining — bit-identical to
-    /// builds that predate the knob). Under
-    /// [`CombineScope::Node`](opa_common::CombineScope::Node) granules
-    /// from all map tasks of one simulated node additionally merge
-    /// through the job's combiner (or, for the incremental frameworks,
-    /// its `cb()`) in a per-node staging table before any shuffle bytes
-    /// are booked; flush points are scheduler-side and deterministic, so
-    /// output stays bit-identical at any thread count.
-    /// [`CombineScope::Off`](opa_common::CombineScope::Off) disables even
-    /// per-task combining for the materializing frameworks.
-    pub fn combine(mut self, scope: opa_common::CombineScope) -> Self {
-        self.combine = scope;
+    /// [`CombineScope::Task`], the engine's historical per-map-task
+    /// combining — bit-identical to builds that predate the knob). Under
+    /// [`CombineScope::Node`] granules from all map tasks of one
+    /// simulated node additionally merge through the job's combiner (or,
+    /// for the incremental frameworks, its `cb()`) in a per-node staging
+    /// table before any shuffle bytes are booked; flush points are
+    /// scheduler-side and deterministic, so output stays bit-identical at
+    /// any thread count. [`CombineScope::Off`] disables even per-task
+    /// combining for the materializing frameworks.
+    pub fn combine(mut self, scope: CombineScope) -> Self {
+        self.cfg.combine = scope;
         self
     }
 
@@ -298,25 +363,8 @@ impl<J: Job> JobBuilder<J> {
     /// makes every reducer repeat its merge and emit a snapshot — the
     /// expensive behaviour the paper measures.
     pub fn snapshot_points(mut self, points: &[f64]) -> Self {
-        self.snapshot_points = points.to_vec();
+        self.cfg.snapshot_points = points.to_vec();
         self
-    }
-
-    /// Validates the configured snapshot points: each must be a finite
-    /// map-progress fraction in `[0, 1]`. Shared by [`JobBuilder::run`] and
-    /// CLI argument parsing so a bad `--snapshots` list fails up front with
-    /// an actionable message instead of deep inside the run.
-    pub fn validate_snapshot_points(&self) -> Result<()> {
-        for &p in &self.snapshot_points {
-            if !p.is_finite() || !(0.0..=1.0).contains(&p) {
-                return Err(Error::job(format!(
-                    "snapshot point {p} is not a map-progress fraction in \
-                     [0, 1]; pass fractions of map completion such as \
-                     0.25,0.5,0.75"
-                )));
-            }
-        }
-        Ok(())
     }
 
     /// Enables deterministic fault injection: map/reduce failures,
@@ -330,7 +378,7 @@ impl<J: Job> JobBuilder<J> {
     /// I/O accounting and the [`JobMetrics::faults`] report change in
     /// any case.
     pub fn faults(mut self, cfg: FaultConfig) -> Self {
-        self.faults = cfg;
+        self.cfg.faults = cfg;
         self
     }
 
@@ -339,37 +387,259 @@ impl<J: Job> JobBuilder<J> {
         &self.job
     }
 
-    /// Runs the job on `input`.
+    /// Runs the job on `input`. A panic in the job's code (or anywhere in
+    /// the run) comes back as an [`Error::Panicked`].
     pub fn run(&self, input: &JobInput) -> Result<JobOutcome> {
-        self.spec.validate()?;
-        self.exec.validate()?;
-        self.faults.validate()?;
-        self.validate_snapshot_points()?;
-        if let Some(phi) = self.early_stop_coverage {
-            if !phi.is_finite() || !(0.0..=1.0).contains(&phi) || phi == 0.0 {
-                return Err(Error::job(format!(
-                    "early-stop coverage φ must be a fraction in (0, 1], got {phi}"
-                )));
-            }
+        run_job(&self.job, &self.cfg, input, None)
+    }
+}
+
+/// One scheduled event of the job loop.
+#[derive(Debug, Clone)]
+pub enum Event {
+    /// A map task attempt starts.
+    StartMap {
+        /// Input chunk index.
+        chunk: usize,
+        /// 0 for the first execution; retries and speculative backups
+        /// count up. Drives the fault plan's per-attempt decisions.
+        attempt: u32,
+    },
+    /// A shuffle payload reaches its reducer.
+    Deliver {
+        /// Destination reducer.
+        reducer: usize,
+        /// Node the payload was shipped from.
+        from_node: usize,
+        /// Chunk whose map task produced it: a pause waits for the
+        /// deliveries of the chunks below its quota, not of later ones.
+        chunk: usize,
+        /// The delivered partition.
+        payload: Payload,
+    },
+}
+
+/// The loop's running totals, per node, per reducer and job-wide.
+#[derive(Debug, Clone)]
+pub struct LoopCounters {
+    /// Map output bytes so far.
+    pub map_output_bytes: u64,
+    /// Shuffle bytes booked on the network so far: `map_output_bytes`
+    /// minus node-level combining. Wave-two re-reads replay these same
+    /// transfers from disk and are not counted again.
+    pub shuffle_bytes: u64,
+    /// Map-side spill bytes so far.
+    pub spill_written_map: u64,
+    /// Latest map-task finish time seen.
+    pub map_finish: SimTime,
+    /// Committed map tasks.
+    pub maps_completed: usize,
+    /// Per-node map CPU.
+    pub map_cpu: Vec<SimDuration>,
+    /// Per-reducer ready-at clocks.
+    pub ready_at: Vec<SimTime>,
+    /// Per-reducer delivery sequence numbers (fault-plan input).
+    pub delivery_seq: Vec<u64>,
+    /// Per-reducer crash counts (fault-plan input).
+    pub crash_count: Vec<u32>,
+    /// Per-reducer reduce CPU.
+    pub reduce_cpu: Vec<SimDuration>,
+    /// Per-reducer reduce-side spill bytes.
+    pub spill_written_reduce: Vec<u64>,
+}
+
+impl LoopCounters {
+    fn new(nodes: usize, reducers: usize) -> Self {
+        LoopCounters {
+            map_output_bytes: 0,
+            shuffle_bytes: 0,
+            spill_written_map: 0,
+            map_finish: SimTime::ZERO,
+            maps_completed: 0,
+            map_cpu: vec![SimDuration::ZERO; nodes],
+            ready_at: vec![SimTime::ZERO; reducers],
+            delivery_seq: vec![0; reducers],
+            crash_count: vec![0; reducers],
+            reduce_cpu: vec![SimDuration::ZERO; reducers],
+            spill_written_reduce: vec![0; reducers],
         }
-        if input.is_empty() {
-            return Err(Error::job("job input is empty"));
+    }
+}
+
+/// The job loop's state at a pause point: what [`LoopCtl::export`]
+/// returns and what [`Pause::resume`] seeds a new loop with.
+#[derive(Debug, Clone)]
+pub struct LoopState {
+    /// Pending events in pop order: map starts and in-flight deliveries.
+    pub queue: Vec<(SimTime, Event)>,
+    /// Per-node FIFO of chunks not yet handed to a map slot.
+    pub pending: Vec<Vec<usize>>,
+    /// Committed chunks, ascending.
+    pub done: Vec<usize>,
+    /// Per-node `(hdfs, spill)` disk-free clocks.
+    pub disk_free: Vec<(u64, u64)>,
+    /// Running totals.
+    pub counters: LoopCounters,
+    /// Per-reducer deliveries parked for the second reduce wave, as
+    /// `(source node, payload)`.
+    pub deferred: Vec<Vec<(usize, Payload)>>,
+    /// Output emitted so far.
+    pub output: Vec<Pair>,
+    /// Per-reducer framework state.
+    pub reducers: Vec<ReducerCkpt>,
+}
+
+/// A pause schedule for [`run_job`].
+///
+/// Pause `i` is due at the first point between two event pops when the
+/// chunks `0..quotas[i]` have all committed their map task and every
+/// delivery they shipped has been absorbed. Deliveries of later chunks
+/// may still be in flight. The loop then calls `hook` once per due pause,
+/// in order, and while a pause is due a delivery burst stops growing, so
+/// the hook observes the state between the same two events at any thread
+/// count. Pausing never reorders, drops or adds an event: a paused run's
+/// outcome equals the unpaused run's.
+pub struct Pause<'h> {
+    /// Ascending chunk quotas, one per pause.
+    pub quotas: Vec<usize>,
+    /// State exported at an earlier pause of the same job and input, to
+    /// continue from instead of starting fresh.
+    pub resume: Option<LoopState>,
+    /// Called at each due pause.
+    pub hook: &'h mut dyn FnMut(&mut LoopCtl<'_>) -> Result<()>,
+}
+
+/// What a [`Pause`] hook sees of the paused loop.
+pub struct LoopCtl<'a> {
+    now: SimTime,
+    counters: &'a LoopCounters,
+    reducers: &'a [Option<Box<dyn ReduceSide + Send + 'a>>],
+    res: &'a mut Resources,
+    queue: &'a mut EventQueue<Event>,
+    pending: &'a [VecDeque<usize>],
+    done: &'a [bool],
+    deferred: &'a [Vec<(usize, Payload)>],
+    output: &'a [Pair],
+}
+
+impl LoopCtl<'_> {
+    /// Virtual time of the last event popped (the resumed state's map
+    /// finish time before the first pop of a resumed run).
+    pub fn now(&self) -> SimTime {
+        self.now
+    }
+
+    /// Committed map tasks.
+    pub fn maps_completed(&self) -> usize {
+        self.counters.maps_completed
+    }
+
+    /// The reducers, all in place.
+    pub fn reducers(&self) -> &[Option<Box<dyn ReduceSide + Send + '_>>] {
+        self.reducers
+    }
+
+    /// Appends an event to the run's trace (a no-op with tracing off).
+    pub fn emit(&mut self, ev: TraceEvent) {
+        self.res.emit(ev);
+    }
+
+    /// Exports the loop's complete state. The queue is read by draining
+    /// it and pushing every event back in pop order, which keeps every
+    /// relative order: the run is unaffected.
+    pub fn export(&mut self) -> Result<LoopState> {
+        let mut queue = Vec::with_capacity(self.queue.len());
+        while let Some(entry) = self.queue.pop() {
+            queue.push(entry);
         }
-        run_job(
-            &self.job,
-            self.framework,
-            &self.spec,
-            self.exec,
-            self.km_hint,
-            self.early_stop_coverage,
-            self.dinc_monitor,
-            self.admission,
-            self.combine,
-            &self.snapshot_points,
-            &self.faults,
-            self.trace,
-            input,
-        )
+        for (t, ev) in &queue {
+            self.queue.push(*t, ev.clone());
+        }
+        Ok(LoopState {
+            queue,
+            pending: self
+                .pending
+                .iter()
+                .map(|q| q.iter().copied().collect())
+                .collect(),
+            done: (0..self.done.len()).filter(|&c| self.done[c]).collect(),
+            disk_free: self.res.export_disk_free(),
+            counters: self.counters.clone(),
+            deferred: self.deferred.to_vec(),
+            output: self.output.to_vec(),
+            reducers: self
+                .reducers
+                .iter()
+                .map(|r| r.as_ref().expect("reducer in place").export_state())
+                .collect::<Result<_>>()?,
+        })
+    }
+}
+
+/// Pause bookkeeping: committed chunks, deliveries in flight per source
+/// chunk, and how many of those gate the next pause. With no schedule no
+/// pause is ever due.
+struct Pauses {
+    quotas: Vec<usize>,
+    next: usize,
+    done: Vec<bool>,
+    done_prefix: usize,
+    inflight: Vec<u32>,
+    inflight_due: usize,
+}
+
+impl Pauses {
+    fn new(quotas: Vec<usize>, done: Vec<bool>) -> Self {
+        Pauses {
+            quotas,
+            next: 0,
+            inflight: vec![0; done.len()],
+            done_prefix: done.iter().take_while(|&&d| d).count(),
+            done,
+            inflight_due: 0,
+        }
+    }
+
+    fn due(&self) -> bool {
+        self.next < self.quotas.len()
+            && self.inflight_due == 0
+            && self.done_prefix >= self.quotas[self.next]
+    }
+
+    fn gates(&self, chunk: usize) -> bool {
+        self.next < self.quotas.len() && chunk < self.quotas[self.next]
+    }
+
+    fn shipped(&mut self, chunk: usize) {
+        self.inflight[chunk] += 1;
+        if self.gates(chunk) {
+            self.inflight_due += 1;
+        }
+    }
+
+    fn absorbed(&mut self, chunk: usize) {
+        self.inflight[chunk] -= 1;
+        if self.gates(chunk) {
+            self.inflight_due -= 1;
+        }
+    }
+
+    fn committed(&mut self, chunk: usize) {
+        self.done[chunk] = true;
+        while self.done.get(self.done_prefix) == Some(&true) {
+            self.done_prefix += 1;
+        }
+    }
+
+    /// Moves past the pause just taken. `inflight_due` was zero, so the
+    /// chunks newly below the next quota are all that gate it.
+    fn advance(&mut self) {
+        self.next += 1;
+        if self.next < self.quotas.len() {
+            self.inflight_due = (self.quotas[self.next - 1]..self.quotas[self.next])
+                .map(|c| self.inflight[c] as usize)
+                .sum();
+        }
     }
 }
 
@@ -383,20 +653,6 @@ enum NodeMerge<'j> {
     /// [`crate::api::Site::Map`]; early emissions route to job output
     /// exactly like task-level map-side `cb()` emissions.
     States(&'j dyn crate::api::IncrementalReducer),
-}
-
-enum Ev {
-    StartMap {
-        chunk: usize,
-        /// 0 for the first execution; retries and speculative backups
-        /// count up. Drives the fault plan's per-attempt decisions.
-        attempt: u32,
-    },
-    Deliver {
-        reducer: usize,
-        from_node: usize,
-        payload: Payload,
-    },
 }
 
 /// A reducer's recorded mailbox result: the reducer itself (handed back
@@ -430,31 +686,52 @@ fn record_mailbox<'j>(
     (rec, logs)
 }
 
-#[allow(clippy::too_many_lines)]
-#[allow(clippy::too_many_arguments)]
-fn run_job(
+/// Runs `job` on `input` under `cfg`: the one discrete-event loop every
+/// front end drives. `pause` adds a pause schedule ([`Pause`]); `None`
+/// runs the job straight through. A panic anywhere in the run — in a UDF,
+/// a pause hook or an execution-layer worker — returns as
+/// [`Error::Panicked`] instead of unwinding into the caller.
+pub fn run_job(
     job: &dyn Job,
-    framework: Framework,
-    spec: &ClusterSpec,
-    exec: ExecConfig,
-    km_hint: f64,
-    early_stop: Option<f64>,
-    dinc_monitor: crate::reduce::dinc_hash::MonitorKind,
-    admission: opa_common::AdmissionPolicy,
-    combine: opa_common::CombineScope,
-    snapshot_points: &[f64],
-    faults: &FaultConfig,
-    trace: bool,
+    cfg: &JobConfig,
     input: &JobInput,
+    pause: Option<Pause<'_>>,
 ) -> Result<JobOutcome> {
+    cfg.validate()?;
+    if input.is_empty() {
+        return Err(Error::job("job input is empty"));
+    }
+    std::panic::catch_unwind(AssertUnwindSafe(|| run_loop(job, cfg, input, pause)))
+        .unwrap_or_else(|panic| Err(Error::panicked(panic_message(panic.as_ref()))))
+}
+
+#[allow(clippy::too_many_lines)]
+fn run_loop(
+    job: &dyn Job,
+    cfg: &JobConfig,
+    input: &JobInput,
+    pause: Option<Pause<'_>>,
+) -> Result<JobOutcome> {
+    let JobConfig {
+        framework,
+        ref spec,
+        exec,
+        km_hint,
+        early_stop_coverage: early_stop,
+        ref snapshot_points,
+        dinc_monitor,
+        admission,
+        combine,
+        ref faults,
+        trace,
+    } = *cfg;
     let hw = &spec.hardware;
     let n_nodes = hw.nodes;
     let n_reducers = spec.total_reducers();
     let family = HashFamily::new(spec.hash_seed);
     let h1 = family.fn_at(0);
 
-    // Snapshot points were validated by the builder (finite fractions in
-    // [0, 1] — see `JobBuilder::validate_snapshot_points`).
+    // Snapshot points are validated finite fractions in [0, 1].
     let mut snapshots: Vec<f64> = snapshot_points.to_vec();
     snapshots.sort_by(f64::total_cmp);
 
@@ -471,10 +748,53 @@ fn run_job(
     // and the outcome is bit-identical at any count anyway.
     let workers = exec.effective_threads().saturating_sub(1);
 
-    // Declared outside the execution scope: the speculative planner's
-    // closures capture it by reference and outlive this stack frame's
+    let (quotas, mut hook, resume) = match pause {
+        Some(p) => (p.quotas, Some(p.hook), p.resume),
+        None => (Vec::new(), None, None),
+    };
+    if hook.is_some() && (combine.is_node() || !snapshots.is_empty()) {
+        return Err(Error::job(
+            "a paused run supports neither node-level combining nor \
+             snapshots: their staging is not part of the loop state",
+        ));
+    }
+    let num_chunks = store.num_chunks();
+    let mut done = vec![false; num_chunks];
+    for &chunk in resume.iter().flat_map(|st| &st.done) {
+        done[chunk] = true;
+    }
+    let mut pauses = Pauses::new(quotas, done);
+
+    // Speculative map-task planning: plans are pure functions of the
+    // chunk index, so the pool computes a window of them ahead of the
+    // scheduler. The planner indexes the chunks still to run by dense
+    // position. Declared outside the execution scope: the planner's
+    // closures capture all of this by reference and outlive the scope's
     // inner locals.
     let poison_on = faults.poison_enabled();
+    let compute_plan = |chunk: usize| {
+        let c = &store.chunks()[chunk];
+        compute_map_task(
+            job,
+            framework,
+            &input.records[c.range.clone()],
+            c.bytes,
+            spec,
+            h1,
+            admission,
+            combine,
+            poison_on.then_some(PoisonGate {
+                faults: *faults,
+                base: c.range.start as u64,
+            }),
+        )
+    };
+    let plan_chunks: Vec<usize> = (0..num_chunks).filter(|&c| !pauses.done[c]).collect();
+    let mut plan_pos: Vec<Option<usize>> = vec![None; num_chunks];
+    for (pos, &chunk) in plan_chunks.iter().enumerate() {
+        plan_pos[chunk] = Some(pos);
+    }
+    let compute_plan_at = |pos: usize| compute_plan(plan_chunks[pos]);
 
     std::thread::scope(|scope| -> Result<JobOutcome> {
         let pool = Pool::new(scope, workers);
@@ -484,7 +804,7 @@ fn run_job(
         if trace {
             res.enable_trace();
         }
-        let mut progress = ProgressTracker::new(store.num_chunks() as u64);
+        let mut progress = ProgressTracker::new(num_chunks as u64);
 
         // Fault-injection state. All decisions and recovery charging run
         // on this (scheduling) thread in event order, so the failure trace
@@ -506,12 +826,10 @@ fn run_job(
         // Pure map-task plans stashed by failed/straggling attempts for
         // reuse by their retry (the plan is a function of the chunk alone).
         let mut plan_stash: Vec<Option<crate::map_phase::MapTaskPlan>> =
-            (0..store.num_chunks()).map(|_| None).collect();
-        // Per-reducer crash bookkeeping and effect history for recovery
-        // re-replay (history is only kept when reduce crashes can fire).
+            (0..num_chunks).map(|_| None).collect();
+        // Per-reducer effect history for crash-recovery re-replay (kept
+        // only when reduce crashes can fire; a resumed run starts empty).
         let track_history = faults.reduce_failure_rate > 0.0;
-        let mut delivery_seq: Vec<u64> = vec![0; n_reducers];
-        let mut crash_count: Vec<u32> = vec![0; n_reducers];
         let mut history: Vec<Vec<Effect>> = vec![Vec::new(); n_reducers];
 
         // Reducer sizing from job hints.
@@ -541,58 +859,61 @@ fn run_job(
             .map(|r| (r / n_nodes) < wave1_per_node)
             .collect();
 
-        // Per-node FIFO of map chunks; seed each node's map slots.
-        let mut queue: EventQueue<Ev> = EventQueue::new();
+        // Scheduler state: seeded fresh, or from the resumed state.
+        let mut c = LoopCounters::new(n_nodes, n_reducers);
+        let mut queue: EventQueue<Event> = EventQueue::new();
         let mut pending: Vec<VecDeque<usize>> = vec![VecDeque::new(); n_nodes];
-        for (i, c) in store.chunks().iter().enumerate() {
-            pending[c.node].push_back(i);
-        }
-        for node_pending in pending.iter_mut() {
-            for _ in 0..hw.map_slots {
-                if let Some(chunk) = node_pending.pop_front() {
-                    queue.push(SimTime::ZERO, Ev::StartMap { chunk, attempt: 0 });
+        let mut deferred: Vec<Vec<(usize, Payload)>> = vec![Vec::new(); n_reducers];
+        let mut output: Vec<Pair> = Vec::new();
+        let mut now = SimTime::ZERO;
+        match resume {
+            None => {
+                for (i, chunk) in store.chunks().iter().enumerate() {
+                    pending[chunk.node].push_back(i);
+                }
+                for node_pending in pending.iter_mut() {
+                    for _ in 0..hw.map_slots {
+                        if let Some(chunk) = node_pending.pop_front() {
+                            queue.push(SimTime::ZERO, Event::StartMap { chunk, attempt: 0 });
+                        }
+                    }
+                }
+            }
+            Some(st) => {
+                for (t, ev) in st.queue {
+                    if let Event::Deliver { chunk, .. } = ev {
+                        pauses.shipped(chunk);
+                    }
+                    queue.push(t, ev);
+                }
+                pending = st.pending.into_iter().map(VecDeque::from).collect();
+                res.restore_disk_free(&st.disk_free);
+                // Progress accounting restarts at the resume instant;
+                // pre-seeding completed maps keeps the map curve's
+                // end-state (100 %) truthful.
+                for _ in &st.done {
+                    progress.map_done(SimTime::ZERO);
+                }
+                now = st.counters.map_finish;
+                c = st.counters;
+                deferred = st.deferred;
+                output = st.output;
+                for (r, ckpt) in st.reducers.into_iter().enumerate() {
+                    reducers[r]
+                        .as_mut()
+                        .expect("reducer in place")
+                        .import_state(ckpt)?;
                 }
             }
         }
 
-        // Speculative map-task planning: plans are pure functions of the
-        // chunk index, so the pool computes a window of them ahead of the
-        // scheduler.
-        let compute_plan = |chunk: usize| {
-            let c = &store.chunks()[chunk];
-            compute_map_task(
-                job,
-                framework,
-                &input.records[c.range.clone()],
-                c.bytes,
-                spec,
-                h1,
-                admission,
-                combine,
-                poison_on.then_some(PoisonGate {
-                    faults: *faults,
-                    base: c.range.start as u64,
-                }),
-            )
-        };
         let planner: Planner<crate::map_phase::MapTaskPlan> =
-            Planner::new(store.num_chunks(), workers * 2 + 2);
-        planner.prime(&pool, compute_plan);
+            Planner::new(plan_chunks.len(), workers * 2 + 2);
+        planner.prime(&pool, compute_plan_at);
 
-        // Per-entity accounting.
-        let mut map_cpu = vec![SimDuration::ZERO; n_nodes];
-        let mut reduce_cpu = vec![SimDuration::ZERO; n_reducers];
-        let mut ready_at = vec![SimTime::ZERO; n_reducers];
-        let mut deferred: Vec<Vec<(usize, Payload)>> = vec![Vec::new(); n_reducers];
-        let mut spill_written_map = 0u64;
-        let mut spill_written_reduce = vec![0u64; n_reducers];
         let mut snapshot_bytes = vec![0u64; n_reducers];
         let mut next_snapshot = 0usize;
         let mut snapshots_taken = vec![0usize; n_reducers];
-        let mut maps_completed = 0usize;
-        let mut map_output_bytes = 0u64;
-        let mut map_finish = SimTime::ZERO;
-        let mut output: Vec<Pair> = Vec::new();
         let mut dlq: Vec<PoisonedRecord> = Vec::new();
 
         // `CombineScope::Node`: per-node pre-shuffle staging. Committed map
@@ -619,8 +940,9 @@ fn run_job(
         // pure function of the commit sequence.
         let mut stage_rows: Vec<Vec<(usize, u64, opa_common::Key, opa_common::Value)>> =
             vec![Vec::new(); n_nodes];
-        let mut stage_index: Vec<GroupIndex> =
-            (0..n_nodes).map(|_| GroupIndex::with_capacity(64)).collect();
+        let mut stage_index: Vec<GroupIndex> = (0..n_nodes)
+            .map(|_| GroupIndex::with_capacity(64))
+            .collect();
         let mut stage_bytes = vec![0u64; n_nodes]; // resident, post-combine
         let mut stage_in = vec![0u64; n_nodes]; // offered since last flush, pre-combine
         let mut stage_merges = vec![0u64; n_nodes]; // cb/fold calls since last flush
@@ -633,17 +955,11 @@ fn run_job(
         // countdown moves only at the committing attempt.
         let mut stage_outstanding: Vec<usize> = vec![0; n_nodes];
         if node_merge.is_some() {
-            for c in store.chunks() {
-                stage_outstanding[c.node] += 1;
+            for chunk in store.chunks() {
+                stage_outstanding[chunk.node] += 1;
             }
         }
         let mut nc_stats = crate::metrics::NodeCombineStats::default();
-        // Shuffle bytes actually booked on the network (post-combine under
-        // node scope; equal to `map_output_bytes` minus in-task combining
-        // otherwise). Wave-two re-reads replay these same transfers from
-        // disk and are not re-counted.
-        let mut shuffle_booked = 0u64;
-
         // Burst scratch, reused across iterations.
         let mut mail_of: Vec<Option<usize>> = vec![None; n_reducers];
         let mut log_q: Vec<MailboxLogs> = (0..n_reducers).map(|_| VecDeque::new()).collect();
@@ -655,11 +971,42 @@ fn run_job(
                     res: &mut res,
                     progress: &mut progress,
                     output: &mut output,
-                    reduce_cpu: &mut reduce_cpu[$r],
-                    spill_written: &mut spill_written_reduce[$r],
+                    reduce_cpu: &mut c.reduce_cpu[$r],
+                    spill_written: &mut c.spill_written_reduce[$r],
                     snapshot_bytes: &mut snapshot_bytes[$r],
                 }
             };
+        }
+
+        // Books the shuffle transfer of `$payload` from node `$node`, sent
+        // at `$t` by chunk `$chunk`'s map task, to reducer `$r`, and queues
+        // its delivery. Evaluates to the bytes shipped.
+        macro_rules! ship {
+            ($node:expr, $t:expr, $r:expr, $chunk:expr, $payload:expr) => {{
+                let (node, t, r, chunk, payload): (usize, SimTime, usize, usize, Payload) =
+                    ($node, $t, $r, $chunk, $payload);
+                let bytes = payload.bytes();
+                let arrival = t + spec.cost.net_time(bytes);
+                res.span(node, OpKind::Shuffle, t, arrival);
+                res.emit(TraceEvent::Shuffle {
+                    t0: t.0,
+                    t: arrival.0,
+                    from_node: node as u32,
+                    reducer: r as u32,
+                    bytes,
+                });
+                pauses.shipped(chunk);
+                queue.push(
+                    arrival,
+                    Event::Deliver {
+                        reducer: r,
+                        from_node: node,
+                        chunk,
+                        payload,
+                    },
+                );
+                bytes
+            }};
         }
 
         // Drains one node's staging table at flush time `$t`: charge the
@@ -667,7 +1014,7 @@ fn run_job(
         // in first-seen row order, and book the (post-combine) shuffle
         // transfers exactly as the direct path would have.
         macro_rules! flush_node {
-            ($node:expr, $t:expr) => {{
+            ($node:expr, $t:expr, $chunk:expr) => {{
                 let fnode: usize = $node;
                 if !stage_rows[fnode].is_empty() {
                     let t0: SimTime = $t;
@@ -678,7 +1025,7 @@ fn run_job(
                     let merges = std::mem::take(&mut stage_merges[fnode]);
                     let cb_cpu = spec.cost.cb_time(merges);
                     let t1 = res.cpu(fnode, t0, cb_cpu);
-                    map_cpu[fnode] += cb_cpu;
+                    c.map_cpu[fnode] += cb_cpu;
                     let states_mode = matches!(node_merge, Some(NodeMerge::States(_)));
                     let cap = rows.len() / n_reducers + 1;
                     let mut payloads: Vec<Payload> = (0..n_reducers)
@@ -702,27 +1049,9 @@ fn run_job(
                         if payload.is_empty() {
                             continue;
                         }
-                        let b = payload.bytes();
-                        bytes_out += b;
-                        let arrival = t1 + spec.cost.net_time(b);
-                        res.span(fnode, OpKind::Shuffle, t1, arrival);
-                        res.emit(TraceEvent::Shuffle {
-                            t0: t1.0,
-                            t: arrival.0,
-                            from_node: fnode as u32,
-                            reducer: r as u32,
-                            bytes: b,
-                        });
-                        queue.push(
-                            arrival,
-                            Ev::Deliver {
-                                reducer: r,
-                                from_node: fnode,
-                                payload,
-                            },
-                        );
+                        bytes_out += ship!(fnode, t1, r, $chunk, payload);
                     }
-                    shuffle_booked += bytes_out;
+                    c.shuffle_bytes += bytes_out;
                     nc_stats.flushes += 1;
                     nc_stats.staged_bytes += bytes_in;
                     nc_stats.flushed_bytes += bytes_out;
@@ -738,10 +1067,70 @@ fn run_job(
             }};
         }
 
-        // Main event loop.
-        while let Some((t, ev)) = queue.pop() {
+        // Reduce-task crash check before reducer `$r` absorbs a delivery at
+        // `$t0`: a crashed reducer backs off, then re-replays its recorded
+        // history in time-only mode to rebuild the lost in-memory state.
+        // Evaluates to the instant the reducer can absorb the delivery.
+        macro_rules! crash_check {
+            ($r:expr, $t0:expr) => {{
+                let (r, mut t0): (usize, SimTime) = ($r, $t0);
+                if let Some(fp) = &fplan {
+                    if fp.reduce_crashes(r, c.delivery_seq[r], c.crash_count[r]) {
+                        c.crash_count[r] += 1;
+                        freport.reduce_failures += 1;
+                        let backoff = faults.backoff(c.crash_count[r]);
+                        book_fault(
+                            &mut freport,
+                            &mut res,
+                            FaultKind::ReduceFailure,
+                            r as u64,
+                            c.crash_count[r] - 1,
+                            t0,
+                            t0 + backoff,
+                        );
+                        let recov = replay_recovery(
+                            &history[r],
+                            t0 + backoff,
+                            spec,
+                            reducer_node(r),
+                            &mut res,
+                        );
+                        freport.wasted_bytes += recov.wasted_bytes;
+                        freport.wasted_cpu += recov.wasted_cpu;
+                        freport.recovery_time += recov.ready_at.saturating_since(t0);
+                        t0 = recov.ready_at;
+                    }
+                    c.delivery_seq[r] += 1;
+                }
+                t0
+            }};
+        }
+
+        // Main event loop. Due pauses are taken before each pop, so a hook
+        // observes the state between two events and never perturbs the
+        // event sequence; once the queue drains, the last pauses are
+        // taken and the loop exits.
+        loop {
+            while pauses.due() {
+                if let Some(hook) = hook.as_mut() {
+                    hook(&mut LoopCtl {
+                        now,
+                        counters: &c,
+                        reducers: &reducers,
+                        res: &mut res,
+                        queue: &mut queue,
+                        pending: &pending,
+                        done: &pauses.done,
+                        deferred: &deferred,
+                        output: &output,
+                    })?;
+                }
+                pauses.advance();
+            }
+            let Some((t, ev)) = queue.pop() else { break };
+            now = t;
             match ev {
-                Ev::StartMap { chunk, attempt } => {
+                Event::StartMap { chunk, attempt } => {
                     let node = store.chunks()[chunk].node;
                     res.emit(TraceEvent::MapStart {
                         t: t.0,
@@ -752,7 +1141,8 @@ fn run_job(
                     // Retries reuse the stashed pure plan; the planner only
                     // hands out each chunk's first-execution plan.
                     let plan = if attempt == 0 {
-                        planner.take(chunk, &pool, compute_plan)
+                        let pos = plan_pos[chunk].expect("first attempt of an undone chunk");
+                        planner.take(pos, &pool, compute_plan_at)
                     } else {
                         plan_stash[chunk]
                             .take()
@@ -772,28 +1162,19 @@ fn run_job(
                             freport.wasted_cpu += waste.wasted_cpu;
                             freport.wasted_bytes += waste.wasted_bytes;
                             freport.recovery_time += (waste.fail_time - t) + backoff;
-                            freport.trace.push(FaultEvent {
-                                time: waste.fail_time,
-                                kind: FaultKind::MapFailure,
-                                target: chunk as u64,
+                            book_fault(
+                                &mut freport,
+                                &mut res,
+                                FaultKind::MapFailure,
+                                chunk as u64,
                                 attempt,
-                            });
-                            res.emit(TraceEvent::Fault {
-                                t: waste.fail_time.0,
-                                kind: FaultKind::MapFailure,
-                                target: chunk as u64,
-                                attempt,
-                            });
-                            res.emit(TraceEvent::Retry {
-                                t: (waste.fail_time + backoff).0,
-                                kind: FaultKind::MapFailure,
-                                target: chunk as u64,
-                                attempt: attempt + 1,
-                            });
+                                waste.fail_time,
+                                waste.fail_time + backoff,
+                            );
                             plan_stash[chunk] = Some(plan);
                             queue.push(
                                 waste.fail_time + backoff,
-                                Ev::StartMap {
+                                Event::StartMap {
                                     chunk,
                                     attempt: attempt + 1,
                                 },
@@ -814,28 +1195,19 @@ fn run_job(
                             freport.wasted_cpu += waste.wasted_cpu;
                             freport.wasted_bytes += waste.wasted_bytes;
                             freport.recovery_time += waste.fail_time.saturating_since(detect);
-                            freport.trace.push(FaultEvent {
-                                time: detect,
-                                kind: FaultKind::Straggler,
-                                target: chunk as u64,
+                            book_fault(
+                                &mut freport,
+                                &mut res,
+                                FaultKind::Straggler,
+                                chunk as u64,
                                 attempt,
-                            });
-                            res.emit(TraceEvent::Fault {
-                                t: detect.0,
-                                kind: FaultKind::Straggler,
-                                target: chunk as u64,
-                                attempt,
-                            });
-                            res.emit(TraceEvent::Retry {
-                                t: detect.0,
-                                kind: FaultKind::Straggler,
-                                target: chunk as u64,
-                                attempt: attempt + 1,
-                            });
+                                detect,
+                                detect,
+                            );
                             plan_stash[chunk] = Some(plan);
                             queue.push(
                                 detect,
-                                Ev::StartMap {
+                                Event::StartMap {
                                     chunk,
                                     attempt: attempt + 1,
                                 },
@@ -878,19 +1250,19 @@ fn run_job(
                         output_bytes: result.output_bytes,
                         spill_bytes: result.spill_bytes,
                     });
-                    map_cpu[node] += result.cpu;
-                    spill_written_map += result.spill_bytes;
-                    map_output_bytes += result.output_bytes;
-                    map_finish = map_finish.max(result.finish);
+                    c.map_cpu[node] += result.cpu;
+                    c.spill_written_map += result.spill_bytes;
+                    c.map_output_bytes += result.output_bytes;
+                    c.map_finish = c.map_finish.max(result.finish);
                     progress.map_done(result.finish);
-                    maps_completed += 1;
+                    c.maps_completed += 1;
+                    pauses.committed(chunk);
                     // MapReduce Online snapshots fire when map progress
                     // crosses a requested point; each reducer takes its
                     // snapshot at the next delivery it processes ("when
                     // reducers have received X% of the data").
                     while next_snapshot < snapshots.len()
-                        && maps_completed as f64
-                            >= snapshots[next_snapshot] * store.num_chunks() as f64
+                        && c.maps_completed as f64 >= snapshots[next_snapshot] * num_chunks as f64
                     {
                         next_snapshot += 1;
                     }
@@ -950,8 +1322,7 @@ fn run_job(
                                                     let before = inc.state_mem_size(&slot.3);
                                                     inc.cb(&slot.2, &mut slot.3, sp.state, ctx);
                                                     let after = inc.state_mem_size(&slot.3);
-                                                    stage_bytes[node] = (stage_bytes[node]
-                                                        + after)
+                                                    stage_bytes[node] = (stage_bytes[node] + after)
                                                         .saturating_sub(before);
                                                     stage_merges[node] += 1;
                                                     nc_stats.merged_rows += 1;
@@ -985,31 +1356,14 @@ fn run_job(
                                 output.extend(early);
                             }
                             if stage_bytes[node] > spec.node_combine_buffer {
-                                flush_node!(node, gt);
+                                flush_node!(node, gt, chunk);
                             }
                         } else {
                             for (r, payload) in granule.partitions.into_iter().enumerate() {
                                 if payload.is_empty() {
                                     continue;
                                 }
-                                shuffle_booked += payload.bytes();
-                                let arrival = granule.time + spec.cost.net_time(payload.bytes());
-                                res.span(node, OpKind::Shuffle, granule.time, arrival);
-                                res.emit(TraceEvent::Shuffle {
-                                    t0: granule.time.0,
-                                    t: arrival.0,
-                                    from_node: node as u32,
-                                    reducer: r as u32,
-                                    bytes: payload.bytes(),
-                                });
-                                queue.push(
-                                    arrival,
-                                    Ev::Deliver {
-                                        reducer: r,
-                                        from_node: node,
-                                        payload,
-                                    },
-                                );
+                                c.shuffle_bytes += ship!(node, granule.time, r, chunk, payload);
                             }
                         }
                     }
@@ -1018,43 +1372,54 @@ fn run_job(
                     if node_merge.is_some() {
                         stage_outstanding[node] -= 1;
                         if stage_outstanding[node] == 0 {
-                            flush_node!(node, result.finish);
+                            flush_node!(node, result.finish, chunk);
                         }
                     }
                     // Free the slot: schedule the node's next chunk.
                     if let Some(next) = pending[node].pop_front() {
                         queue.push(
                             result.finish,
-                            Ev::StartMap {
+                            Event::StartMap {
                                 chunk: next,
                                 attempt: 0,
                             },
                         );
                     }
                 }
-                Ev::Deliver {
+                Event::Deliver {
                     reducer,
                     from_node,
+                    chunk,
                     payload,
                 } => {
                     // Drain the maximal run of consecutive deliveries:
                     // processing a delivery never schedules new events, so
                     // everything up to the next StartMap can be recorded as
                     // one parallel batch without changing the pop order.
+                    // The run stops early once a pause is due, so the loop
+                    // top observes it; grouping deliveries differently is
+                    // output- and metric-transparent, as effect logs carry
+                    // durations and ops, never absolute times, and replay
+                    // still runs in pop order. Deliveries parked for the
+                    // second wave count as absorbed.
+                    pauses.absorbed(chunk);
                     let mut burst: Vec<(SimTime, usize, usize, Payload)> =
                         vec![(t, reducer, from_node, payload)];
-                    while matches!(queue.peek(), Some((_, Ev::Deliver { .. }))) {
+                    while !pauses.due() && matches!(queue.peek(), Some((_, Event::Deliver { .. })))
+                    {
                         let Some((
                             t2,
-                            Ev::Deliver {
+                            Event::Deliver {
                                 reducer,
                                 from_node,
+                                chunk,
                                 payload,
                             },
                         )) = queue.pop()
                         else {
                             unreachable!("peeked a delivery");
                         };
+                        pauses.absorbed(chunk);
                         burst.push((t2, reducer, from_node, payload));
                     }
 
@@ -1098,165 +1463,106 @@ fn run_job(
                     let n_mail = mailboxes.len();
                     let gather = Gather::new(n_mail);
                     let mut mail_reducers: Vec<usize> = Vec::with_capacity(n_mail);
-                    let mut batch: Vec<crate::exec::Task<'_>> = Vec::with_capacity(n_mail - 1);
-                    let mut last: Option<crate::exec::Task<'_>> = None;
+                    let mut batch = Vec::with_capacity(n_mail);
                     for (slot, (r, items)) in mailboxes.into_iter().enumerate() {
                         mail_reducers.push(r);
                         mail_of[r] = None;
                         let rec = reducers[r].take().expect("reducer in place");
-                        let est = ready_at[r];
+                        let est = c.ready_at[r];
                         let g = gather.clone();
-                        let task: crate::exec::Task<'_> = Box::new(move || {
+                        batch.push(move || {
                             g.put(slot, record_mailbox(rec, items, est, spec));
                         });
-                        if slot + 1 == n_mail {
-                            // The scheduler records the last mailbox itself:
-                            // no handoff for single-mailbox bursts, and the
-                            // main thread stays busy instead of waiting.
-                            last = Some(task);
-                        } else {
-                            batch.push(task);
-                        }
                     }
-                    pool.submit_batch(batch);
-                    last.expect("burst has at least one mailbox")();
+                    pool.run_batch(batch);
                     for ((rec, logs), &r) in gather.wait(&pool).into_iter().zip(&mail_reducers) {
                         reducers[r] = Some(rec);
                         log_q[r] = logs;
                     }
                     for (r, t_ev) in order {
                         let (dlog, slogs) = log_q[r].pop_front().expect("one log per delivery");
-                        let mut t0 = ready_at[r].max(t_ev);
-                        // Reduce-task crash: the delivery finds the reducer
-                        // dead; a restart backs off, then re-replays the
-                        // recorded history in time-only mode to rebuild the
-                        // lost in-memory state before absorbing this
-                        // delivery.
-                        if let Some(fp) = &fplan {
-                            if fp.reduce_crashes(r, delivery_seq[r], crash_count[r]) {
-                                crash_count[r] += 1;
-                                freport.reduce_failures += 1;
-                                freport.trace.push(FaultEvent {
-                                    time: t0,
-                                    kind: FaultKind::ReduceFailure,
-                                    target: r as u64,
-                                    attempt: crash_count[r] - 1,
-                                });
-                                let backoff = faults.backoff(crash_count[r]);
-                                res.emit(TraceEvent::Fault {
-                                    t: t0.0,
-                                    kind: FaultKind::ReduceFailure,
-                                    target: r as u64,
-                                    attempt: crash_count[r] - 1,
-                                });
-                                res.emit(TraceEvent::Retry {
-                                    t: (t0 + backoff).0,
-                                    kind: FaultKind::ReduceFailure,
-                                    target: r as u64,
-                                    attempt: crash_count[r],
-                                });
-                                let recov = replay_recovery(
-                                    &history[r],
-                                    t0 + backoff,
-                                    spec,
-                                    reducer_node(r),
-                                    &mut res,
-                                );
-                                freport.wasted_bytes += recov.wasted_bytes;
-                                freport.wasted_cpu += recov.wasted_cpu;
-                                freport.recovery_time += recov.ready_at.saturating_since(t0);
-                                t0 = recov.ready_at;
-                            }
-                            delivery_seq[r] += 1;
-                        }
+                        let t0 = crash_check!(r, c.ready_at[r].max(t_ev));
                         if track_history {
                             history[r].extend(dlog.iter().cloned());
                             for slog in &slogs {
                                 history[r].extend(slog.iter().cloned());
                             }
                         }
-                        ready_at[r] = replay(dlog, t0, spec, target!(r));
+                        c.ready_at[r] = replay(dlog, t0, spec, target!(r));
                         for slog in slogs {
                             snapshots_taken[r] += 1;
-                            ready_at[r] = replay(slog, ready_at[r], spec, target!(r));
+                            c.ready_at[r] = replay(slog, c.ready_at[r], spec, target!(r));
                         }
                     }
                 }
             }
         }
 
+        // Books reducer `$r` finishing at `$done`: its trace events and its
+        // DINC and admission stats.
+        let mut dinc_total: Option<crate::metrics::DincStats> = None;
+        let mut admission_total: Option<crate::metrics::AdmissionStats> = None;
+        let map_finish = c.map_finish;
+        let mut end = map_finish;
+        macro_rules! reducer_finished {
+            ($r:expr, $rec:expr, $done:expr) => {{
+                let (r, rec, done): (usize, Box<dyn ReduceSide + Send + '_>, SimTime) =
+                    ($r, $rec, $done);
+                res.emit(TraceEvent::ReduceFinish {
+                    t: done.0,
+                    reducer: r as u32,
+                    node: reducer_node(r) as u32,
+                });
+                if let Some(st) = rec.dinc_stats() {
+                    let acc = dinc_total.get_or_insert_with(Default::default);
+                    acc.slots_per_reducer = st.slots_per_reducer;
+                    acc.offered += st.offered;
+                    acc.rejected += st.rejected;
+                    acc.evict_output += st.evict_output;
+                    acc.evict_spilled += st.evict_spilled;
+                }
+                if let Some(st) = rec.admission_stats() {
+                    admission_total
+                        .get_or_insert_with(Default::default)
+                        .merge(&st);
+                    if admission.is_on() {
+                        res.emit(TraceEvent::Admission {
+                            t: done.0,
+                            reducer: r as u32,
+                            offered: st.offered,
+                            absorbed: st.absorbed,
+                            evictions: st.admitted_evictions,
+                            rejected: st.rejected,
+                        });
+                    }
+                }
+                reducers[r] = Some(rec);
+                end = end.max(done);
+            }};
+        }
+
         // Finish wave-one reducers: record in parallel, replay in reducer
         // order (identical to the sequential engine's iteration order).
-        let mut dinc_total: Option<crate::metrics::DincStats> = None;
-        let mut merge_dinc = |stats: Option<crate::metrics::DincStats>| {
-            if let Some(st) = stats {
-                let acc = dinc_total.get_or_insert_with(Default::default);
-                acc.slots_per_reducer = st.slots_per_reducer;
-                acc.offered += st.offered;
-                acc.rejected += st.rejected;
-                acc.evict_output += st.evict_output;
-                acc.evict_spilled += st.evict_spilled;
-            }
-        };
-        let mut admission_total: Option<crate::metrics::AdmissionStats> = None;
-        let mut merge_admission = |stats: Option<crate::metrics::AdmissionStats>| {
-            if let Some(st) = stats {
-                admission_total
-                    .get_or_insert_with(Default::default)
-                    .merge(&st);
-            }
-        };
-        let mut end = map_finish;
         let mut node_wave1_finish: Vec<Vec<SimTime>> = vec![Vec::new(); n_nodes];
         let wave1: Vec<usize> = (0..n_reducers).filter(|&r| started[r]).collect();
         let gather = Gather::new(wave1.len());
-        let mut finish_batch: Vec<crate::exec::Task<'_>> = Vec::new();
-        let mut finish_last: Option<crate::exec::Task<'_>> = None;
+        let mut finish_batch = Vec::with_capacity(wave1.len());
         for (slot, &r) in wave1.iter().enumerate() {
             let mut rec = reducers[r].take().expect("reducer in place");
-            let est = ready_at[r].max(map_finish);
+            let est = c.ready_at[r].max(map_finish);
             let g = gather.clone();
-            let record: crate::exec::Task<'_> = Box::new(move || {
+            finish_batch.push(move || {
                 let mut env = ReduceEnv::new(spec);
                 rec.finish(est, &mut env);
                 g.put(slot, (rec, env.into_log()));
             });
-            if slot + 1 == wave1.len() {
-                finish_last = Some(record);
-            } else {
-                finish_batch.push(record);
-            }
         }
-        pool.submit_batch(finish_batch);
-        if let Some(record) = finish_last {
-            record();
-        }
+        pool.run_batch(finish_batch);
         for ((rec, log), &r) in gather.wait(&pool).into_iter().zip(&wave1) {
-            let t0 = ready_at[r].max(map_finish);
+            let t0 = c.ready_at[r].max(map_finish);
             let done = replay(log, t0, spec, target!(r));
-            merge_dinc(rec.dinc_stats());
-            let adm = rec.admission_stats();
-            merge_admission(adm);
             node_wave1_finish[reducer_node(r)].push(done);
-            end = end.max(done);
-            reducers[r] = Some(rec);
-            res.emit(TraceEvent::ReduceFinish {
-                t: done.0,
-                reducer: r as u32,
-                node: reducer_node(r) as u32,
-            });
-            if admission.is_on() {
-                if let Some(st) = adm {
-                    res.emit(TraceEvent::Admission {
-                        t: done.0,
-                        reducer: r as u32,
-                        offered: st.offered,
-                        absorbed: st.absorbed,
-                        evictions: st.admitted_evictions,
-                        rejected: st.rejected,
-                    });
-                }
-            }
+            reducer_finished!(r, rec, done);
         }
 
         // Second-wave reducers: start when a first-wave reducer on their
@@ -1287,9 +1593,6 @@ fn run_job(
             });
             let mut t = start;
             let deliveries = std::mem::take(&mut deferred[r]);
-            let dbg_wave2 = std::env::var_os("OPA_TRACE_WAVE2").is_some();
-            let n_deliveries = deliveries.len();
-            let bytes_total: u64 = deliveries.iter().map(|(_, p)| p.bytes()).sum();
             // The mappers finished long ago: their output must come off
             // disk. Fetches from distinct source nodes proceed in parallel
             // (the shuffle's parallel fetch threads); each source disk
@@ -1306,41 +1609,7 @@ fn run_job(
             arrivals.sort_by_key(|&(at, _)| at);
             let mut rec = reducers[r].take().expect("reducer in place");
             for (arrival, payload) in arrivals {
-                let mut t0 = t.max(arrival);
-                // Second-wave reducers crash and recover the same way as
-                // wave one: backoff, then time-only history re-replay.
-                if let Some(fp) = &fplan {
-                    if fp.reduce_crashes(r, delivery_seq[r], crash_count[r]) {
-                        crash_count[r] += 1;
-                        freport.reduce_failures += 1;
-                        freport.trace.push(FaultEvent {
-                            time: t0,
-                            kind: FaultKind::ReduceFailure,
-                            target: r as u64,
-                            attempt: crash_count[r] - 1,
-                        });
-                        let backoff = faults.backoff(crash_count[r]);
-                        res.emit(TraceEvent::Fault {
-                            t: t0.0,
-                            kind: FaultKind::ReduceFailure,
-                            target: r as u64,
-                            attempt: crash_count[r] - 1,
-                        });
-                        res.emit(TraceEvent::Retry {
-                            t: (t0 + backoff).0,
-                            kind: FaultKind::ReduceFailure,
-                            target: r as u64,
-                            attempt: crash_count[r],
-                        });
-                        let recov =
-                            replay_recovery(&history[r], t0 + backoff, spec, node, &mut res);
-                        freport.wasted_bytes += recov.wasted_bytes;
-                        freport.wasted_cpu += recov.wasted_cpu;
-                        freport.recovery_time += recov.ready_at.saturating_since(t0);
-                        t0 = recov.ready_at;
-                    }
-                    delivery_seq[r] += 1;
-                }
+                let t0 = crash_check!(r, t.max(arrival));
                 let mut env = ReduceEnv::new(spec);
                 rec.on_delivery(t0, payload, &mut env);
                 let dlog = env.into_log();
@@ -1349,37 +1618,10 @@ fn run_job(
                 }
                 t = replay(dlog, t0, spec, target!(r));
             }
-            let after_deliveries = t;
             let mut env = ReduceEnv::new(spec);
             rec.finish(t, &mut env);
             let done = replay(env.into_log(), t, spec, target!(r));
-            res.emit(TraceEvent::ReduceFinish {
-                t: done.0,
-                reducer: r as u32,
-                node: node as u32,
-            });
-            merge_dinc(rec.dinc_stats());
-            let adm = rec.admission_stats();
-            merge_admission(adm);
-            if admission.is_on() {
-                if let Some(st) = adm {
-                    res.emit(TraceEvent::Admission {
-                        t: done.0,
-                        reducer: r as u32,
-                        offered: st.offered,
-                        absorbed: st.absorbed,
-                        evictions: st.admitted_evictions,
-                        rejected: st.rejected,
-                    });
-                }
-            }
-            reducers[r] = Some(rec);
-            if dbg_wave2 {
-                eprintln!(
-                    "wave2 r={r}: start={start} deliveries={n_deliveries} bytes={bytes_total} after_deliv={after_deliveries} done={done}"
-                );
-            }
-            end = end.max(done);
+            reducer_finished!(r, rec, done);
         }
 
         // Assemble the outcome.
@@ -1395,17 +1637,17 @@ fn run_job(
             None
         };
         let output_bytes: u64 = output.iter().map(Pair::size).sum();
-        let total_reduce_cpu: SimDuration = reduce_cpu.iter().copied().sum();
-        let total_map_cpu: SimDuration = map_cpu.iter().copied().sum();
+        let total_reduce_cpu: SimDuration = c.reduce_cpu.iter().copied().sum();
+        let total_map_cpu: SimDuration = c.map_cpu.iter().copied().sum();
         let metrics = JobMetrics {
             framework: framework.label().to_string(),
             job: job.name().to_string(),
             running_time: end,
             map_finish,
             input_bytes: input.total_bytes(),
-            map_output_bytes,
-            map_spill_bytes: spill_written_map,
-            reduce_spill_bytes: spill_written_reduce.iter().sum(),
+            map_output_bytes: c.map_output_bytes,
+            map_spill_bytes: c.spill_written_map,
+            reduce_spill_bytes: c.spill_written_reduce.iter().sum(),
             output_bytes,
             snapshot_bytes: snapshot_bytes.iter().sum(),
             output_records: output.len() as u64,
@@ -1416,7 +1658,7 @@ fn run_job(
             dinc: dinc_total,
             admission: admission_total,
             faults: fault_report,
-            shuffle_bytes: shuffle_booked,
+            shuffle_bytes: c.shuffle_bytes,
             node_combine: node_merge.is_some().then_some(nc_stats),
         };
         let trace_log = res.take_trace();
@@ -1430,6 +1672,38 @@ fn run_job(
             dlq,
         })
     })
+}
+
+/// Books one injected fault at `at` and the retry it triggers at
+/// `retry_at`: the fault report's trace entry plus the `fault` and
+/// `retry` trace events.
+fn book_fault(
+    freport: &mut FaultReport,
+    res: &mut Resources,
+    kind: FaultKind,
+    target: u64,
+    attempt: u32,
+    at: SimTime,
+    retry_at: SimTime,
+) {
+    freport.trace.push(FaultEvent {
+        time: at,
+        kind,
+        target,
+        attempt,
+    });
+    res.emit(TraceEvent::Fault {
+        t: at.0,
+        kind,
+        target,
+        attempt,
+    });
+    res.emit(TraceEvent::Retry {
+        t: retry_at.0,
+        kind,
+        target,
+        attempt: attempt + 1,
+    });
 }
 
 #[cfg(test)]

@@ -192,11 +192,6 @@ impl Resources {
         self.trace = Some(Box::new(Tracer::new()));
     }
 
-    /// Whether event collection is on.
-    pub fn trace_enabled(&self) -> bool {
-        self.trace.is_some()
-    }
-
     /// Appends one event to the trace, if tracing is on.
     #[inline]
     pub fn emit(&mut self, ev: TraceEvent) {

@@ -169,10 +169,7 @@ fn node_scope_output_matches_off_under_fault_injection() {
         for threads in [1usize, 4] {
             let node = run(framework, CombineScope::Node, threads, faults, &input);
             assert!(
-                node.metrics
-                    .faults
-                    .as_ref()
-                    .is_some_and(|r| r.any_fired()),
+                node.metrics.faults.as_ref().is_some_and(|r| r.any_fired()),
                 "{framework:?}: fault leg is vacuous, nothing fired"
             );
             assert_eq!(

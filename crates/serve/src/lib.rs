@@ -10,7 +10,7 @@
 //!   admitted, queued (backpressure) or *explicitly* rejected, and
 //!   `AdmissionStats`-style books reconcile the counters;
 //! - **deterministic interleaved scheduling** ([`server`]) — each job
-//!   runs the unmodified stream driver on its own thread; the server
+//!   runs as an ordinary stream run on its own thread; the server
 //!   advances the fleet in waves, granting micro-batches in admission
 //!   order at full barriers, so every job's outcome is bit-identical to
 //!   its solo run and the serving trace is a pure function of the
@@ -20,7 +20,9 @@
 //!   publishes at its wave boundary, the same view the stream callback
 //!   reads through [`opa_stream::BatchCtl`];
 //! - **failure isolation** — a job whose user code panics ends
-//!   `Failed`; it frees its slot and never stalls the other tenants;
+//!   `Failed` with the engine's `job panicked: …` error (opa-core turns
+//!   any panic in a run into an `Err`); it frees its slot and never
+//!   stalls the other tenants;
 //! - **a dead-letter queue** ([`dlq`]) — records a map UDF rejects are
 //!   quarantined with full provenance (tenant, job, task, attempt,
 //!   offset) to a CRC-guarded file instead of failing the job, and the

@@ -39,7 +39,6 @@ use opa_core::reduce::TopEntry;
 use opa_stream::{BatchCtl, LiveView, StreamJobBuilder, StreamOutcome, StreamProgress};
 use opa_trace::{ServeJobState, TraceEvent};
 use std::collections::{HashMap, VecDeque};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
@@ -335,13 +334,12 @@ impl Server {
                 // release the wave boundary.
                 let _ = grant_rx.recv();
             };
-            // A panicking UDF fails this job only: without the catch the
-            // thread would die without reporting, and `settle` would wait
-            // for it forever.
-            let result = match catch_unwind(AssertUnwindSafe(|| runner(faults, &mut on_batch))) {
-                Ok(run) => run.map(Box::new).map_err(|e| e.to_string()),
-                Err(panic) => Err(format!("job panicked: {}", panic_message(panic.as_ref()))),
-            };
+            // A panicking UDF fails this job only: the engine returns the
+            // panic as an `Err` ("job panicked: …"), so the thread always
+            // reports and `settle` never waits on a dead job.
+            let result = runner(faults, &mut on_batch)
+                .map(Box::new)
+                .map_err(|e| e.to_string());
             let _ = tx.send(FromJob::Done { id, result });
         }));
     }
@@ -653,15 +651,6 @@ impl Drop for Server {
             }
         }
     }
-}
-
-/// The message of a caught panic payload.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
-    payload
-        .downcast_ref::<&str>()
-        .copied()
-        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
-        .unwrap_or("non-string panic payload")
 }
 
 fn answer_live(view: &LiveView, query: &ServeQuery) -> ServeAnswer {

@@ -20,11 +20,16 @@
 //!   [`StreamJobBuilder::resume_stream`], replaying only the remaining
 //!   input and emitting each output pair exactly once.
 //!
-//! Sealing batches only observes the engine between two events — it
-//! never reorders, drops or injects any — so a streamed run's output is
-//! **bit-identical** to the one-shot batch run's, at any thread count
-//! and any `k` (`tests/stream_equivalence.rs` pins this across all
-//! paper workloads and frameworks).
+//! A stream run is opa-core's job loop ([`opa_core::job::run_job`]) with
+//! a pause schedule: the batch boundaries become the schedule's chunk
+//! quotas, and the pause hook seals the batch, runs the callback and
+//! writes checkpoints. This crate adds no event loop of its own. Sealing
+//! only observes the loop between two events — it never reorders, drops
+//! or injects any — so a streamed run's output is **bit-identical** to
+//! the one-shot batch run's, at any thread count and any `k`
+//! (`tests/stream_equivalence.rs` pins this across all paper workloads
+//! and frameworks). A panic in the job or the callback returns as an
+//! error, as in a batch run.
 //!
 //! ```
 //! use opa_stream::StreamJobBuilder;
@@ -55,32 +60,24 @@ pub use checkpoint::{Fingerprint, QueuedEvent, SavedState};
 pub use driver::StreamOutcome;
 pub use query::{BatchCtl, CheckpointView, LiveView, StreamProgress};
 
-use driver::DriverConfig;
 use opa_common::fault::FaultConfig;
 use opa_common::{Error, ExecConfig, Result, StreamConfig};
 use opa_core::api::Job;
 use opa_core::cluster::{ClusterSpec, Framework};
-use opa_core::job::JobInput;
+use opa_core::job::{JobConfig, JobInput};
 use opa_core::reduce::dinc_hash::MonitorKind;
 use std::path::{Path, PathBuf};
 
 /// Fluent builder for one stream run — the streaming counterpart of
-/// [`opa_core::job::JobBuilder`], sharing its configuration surface and
-/// adding the stream dimension: batch count, checkpoint cadence and
-/// checkpoint directory.
+/// [`opa_core::job::JobBuilder`], sharing its [`JobConfig`] and adding the
+/// stream dimension: batch count, checkpoint cadence and checkpoint
+/// directory. Combining stays per map task and snapshots stay off: the
+/// checkpoint format has no place for their state.
 pub struct StreamJobBuilder<J: Job> {
     job: J,
-    framework: Framework,
-    spec: ClusterSpec,
-    exec: ExecConfig,
-    km_hint: f64,
-    early_stop_coverage: Option<f64>,
-    dinc_monitor: MonitorKind,
-    admission: opa_common::AdmissionPolicy,
-    faults: FaultConfig,
+    cfg: JobConfig,
     stream: StreamConfig,
     checkpoint_dir: Option<PathBuf>,
-    trace: bool,
 }
 
 impl<J: Job> StreamJobBuilder<J> {
@@ -89,29 +86,21 @@ impl<J: Job> StreamJobBuilder<J> {
     pub fn new(job: J) -> Self {
         StreamJobBuilder {
             job,
-            framework: Framework::SortMerge,
-            spec: ClusterSpec::paper_scaled(),
-            exec: ExecConfig::sequential(),
-            km_hint: 1.0,
-            early_stop_coverage: None,
-            dinc_monitor: MonitorKind::Frequent,
-            admission: opa_common::AdmissionPolicy::Off,
-            faults: FaultConfig::disabled(),
+            cfg: JobConfig::default(),
             stream: StreamConfig::default(),
             checkpoint_dir: None,
-            trace: false,
         }
     }
 
     /// Selects the reduce-side framework.
     pub fn framework(mut self, f: Framework) -> Self {
-        self.framework = f;
+        self.cfg.framework = f;
         self
     }
 
     /// Selects the cluster configuration.
     pub fn cluster(mut self, spec: ClusterSpec) -> Self {
-        self.spec = spec;
+        self.cfg.spec = spec;
         self
     }
 
@@ -119,31 +108,31 @@ impl<J: Job> StreamJobBuilder<J> {
     /// [`opa_core::job::JobBuilder::threads`]). The outcome is
     /// bit-identical at any value.
     pub fn threads(mut self, threads: usize) -> Self {
-        self.exec = ExecConfig::with_threads(threads);
+        self.cfg.exec = ExecConfig::with_threads(threads);
         self
     }
 
     /// Sets the full execution-layer configuration.
     pub fn exec(mut self, exec: ExecConfig) -> Self {
-        self.exec = exec;
+        self.cfg.exec = exec;
         self
     }
 
     /// Hints the map output/input ratio `K_m` (defaults to 1.0).
     pub fn km_hint(mut self, km: f64) -> Self {
-        self.km_hint = km;
+        self.cfg.km_hint = km;
         self
     }
 
     /// Enables DINC's approximate early termination at coverage φ.
     pub fn early_stop_coverage(mut self, phi: f64) -> Self {
-        self.early_stop_coverage = Some(phi);
+        self.cfg.early_stop_coverage = Some(phi);
         self
     }
 
     /// Selects the frequency algorithm behind DINC-hash's monitor.
     pub fn dinc_monitor(mut self, kind: MonitorKind) -> Self {
-        self.dinc_monitor = kind;
+        self.cfg.dinc_monitor = kind;
         self
     }
 
@@ -153,7 +142,7 @@ impl<J: Job> StreamJobBuilder<J> {
     /// checkpoint, so a resumed run reproduces the uninterrupted run's
     /// output bit-for-bit.
     pub fn admission(mut self, policy: opa_common::AdmissionPolicy) -> Self {
-        self.admission = policy;
+        self.cfg.admission = policy;
         self
     }
 
@@ -162,7 +151,7 @@ impl<J: Job> StreamJobBuilder<J> {
     /// composes with the map- and reduce-failure classes: a resumed run
     /// reproduces the uninterrupted run's output bit-for-bit.
     pub fn faults(mut self, cfg: FaultConfig) -> Self {
-        self.faults = cfg;
+        self.cfg.faults = cfg;
         self
     }
 
@@ -200,7 +189,7 @@ impl<J: Job> StreamJobBuilder<J> {
     /// bit-identical across thread counts; across different batch counts
     /// `k` they differ only in those seal/checkpoint lines.
     pub fn trace(mut self, on: bool) -> Self {
-        self.trace = on;
+        self.cfg.trace = on;
         self
     }
 
@@ -210,16 +199,7 @@ impl<J: Job> StreamJobBuilder<J> {
     }
 
     fn validate(&self, input: &JobInput) -> Result<()> {
-        self.spec.validate()?;
-        self.exec.validate()?;
-        self.faults.validate()?;
-        if let Some(phi) = self.early_stop_coverage {
-            if !phi.is_finite() || !(0.0..=1.0).contains(&phi) || phi == 0.0 {
-                return Err(Error::job(format!(
-                    "early-stop coverage φ must be a fraction in (0, 1], got {phi}"
-                )));
-            }
-        }
+        self.cfg.validate()?;
         if input.is_empty() {
             return Err(Error::job("stream input is empty"));
         }
@@ -233,20 +213,21 @@ impl<J: Job> StreamJobBuilder<J> {
         Ok(())
     }
 
-    fn driver_config(&self) -> DriverConfig<'_> {
-        DriverConfig {
-            framework: self.framework,
-            spec: &self.spec,
-            exec: self.exec,
-            km_hint: self.km_hint,
-            early_stop: self.early_stop_coverage,
-            dinc_monitor: self.dinc_monitor,
-            admission: self.admission,
-            faults: &self.faults,
-            stream: &self.stream,
-            checkpoint_dir: self.checkpoint_dir.as_deref(),
-            trace: self.trace,
-        }
+    fn drive(
+        &self,
+        input: &JobInput,
+        resume: Option<SavedState>,
+        on_batch: &mut dyn FnMut(&mut BatchCtl),
+    ) -> Result<StreamOutcome> {
+        driver::drive(
+            &self.job,
+            &self.cfg,
+            &self.stream,
+            self.checkpoint_dir.as_deref(),
+            input,
+            resume,
+            on_batch,
+        )
     }
 
     /// Runs the stream job over `input`, invoking `on_batch` at each
@@ -257,7 +238,7 @@ impl<J: Job> StreamJobBuilder<J> {
         mut on_batch: impl FnMut(&mut BatchCtl),
     ) -> Result<StreamOutcome> {
         self.validate(input)?;
-        driver::drive(&self.job, &self.driver_config(), input, None, &mut on_batch)
+        self.drive(input, None, &mut on_batch)
     }
 
     /// Resumes a stream job from a checkpoint file written by a previous
@@ -273,12 +254,6 @@ impl<J: Job> StreamJobBuilder<J> {
     ) -> Result<StreamOutcome> {
         self.validate(input)?;
         let saved = SavedState::read_from(checkpoint)?;
-        driver::drive(
-            &self.job,
-            &self.driver_config(),
-            input,
-            Some(saved),
-            &mut on_batch,
-        )
+        self.drive(input, Some(saved), &mut on_batch)
     }
 }

@@ -98,7 +98,10 @@ mod tests {
         let job = ClickCountJob::default();
         assert!(Combiner::supports_fold(&job));
         let key = Key::from("user");
-        let values: Vec<Value> = [3u64, 0, 41, 7].iter().map(|&v| Value::from_u64(v)).collect();
+        let values: Vec<Value> = [3u64, 0, 41, 7]
+            .iter()
+            .map(|&v| Value::from_u64(v))
+            .collect();
         let combined = job.combine(&key, values.clone());
         let mut acc = values[0].clone();
         for v in &values[1..] {
