@@ -24,7 +24,7 @@
 use super::dataset::Dataset;
 use crate::api::Job;
 use crate::cluster::{ClusterSpec, Framework};
-use crate::exec::{Gather, Pool};
+use crate::exec::Pool;
 use crate::job::JobOutcome;
 use crate::map_phase::{compute_map_task, finish_map_task, MapTaskPlan};
 use crate::metrics::JobMetrics;
@@ -88,40 +88,30 @@ pub(crate) fn run_chained_stage(
     // back as this stage's savings.
     let plans: Vec<(MapTaskPlan, u64)> = std::thread::scope(|scope| {
         let pool = Pool::new(scope, workers);
-        let gather = Gather::new(live.len());
-        let mut batch: Vec<crate::exec::Task<'_>> = Vec::with_capacity(live.len());
-        let mut last: Option<crate::exec::Task<'_>> = None;
-        for (slot, &p) in live.iter().enumerate() {
-            let records = input.partition_records(p);
-            let chunk_bytes: u64 = records.iter().map(|r| r.len() as u64).sum();
-            let g = gather.clone();
-            let task: crate::exec::Task<'_> = Box::new(move || {
-                let mut plan = compute_map_task(
-                    job,
-                    framework,
-                    &records,
-                    chunk_bytes,
-                    spec,
-                    h1,
-                    opa_common::AdmissionPolicy::Off,
-                    opa_common::CombineScope::Task,
-                    None,
-                );
-                let saved = plan.strip_materialization();
-                g.put(slot, (plan, saved));
-            });
-            if slot + 1 == live.len() {
-                last = Some(task);
-            } else {
-                batch.push(task);
-            }
-        }
-        pool.submit_batch(batch);
-        if let Some(task) = last {
-            task();
-        }
-        gather.wait(&pool)
-    });
+        let tasks: Vec<_> = live
+            .iter()
+            .map(|&p| {
+                let records = input.partition_records(p);
+                let chunk_bytes: u64 = records.iter().map(|r| r.len() as u64).sum();
+                move || {
+                    let mut plan = compute_map_task(
+                        job,
+                        framework,
+                        &records,
+                        chunk_bytes,
+                        spec,
+                        h1,
+                        opa_common::AdmissionPolicy::Off,
+                        opa_common::CombineScope::Task,
+                        None,
+                    );
+                    let saved = plan.strip_materialization();
+                    (plan, saved)
+                }
+            })
+            .collect();
+        pool.fan_out(tasks)
+    })?;
 
     // Phase B — sequential accounting and reduction, in partition order.
     let separate_spill = spec.cost.spill_disk != spec.cost.hdfs_disk;

@@ -16,27 +16,26 @@
 //! consequence is the engine's core contract: a job's [`crate::job::JobOutcome`]
 //! is bit-identical at any thread count, including `threads = 1`.
 //!
-//! Three primitives:
+//! Two primitives:
 //!
 //! - [`Pool`] — a scoped work-stealing pool over `std::thread` (the
 //!   sanctioned dependency set has no crossbeam); tasks may borrow the
 //!   job and input. Each worker owns a deque, submissions deal
 //!   round-robin, and an idle worker steals the oldest half of a victim's
 //!   backlog so one straggling task cannot serialize a wave.
+//!   [`Pool::fan_out`] is its one fan-out/fan-in call: run N tasks (the
+//!   caller takes the last), help the pool drain, and get the N results
+//!   back in item order; only the completing task wakes the waiter.
 //! - [`Planner`] — speculative execution of indexed pure tasks (map-task
 //!   plans): a bounded window of upcoming tasks runs ahead on the pool,
 //!   and the scheduler claims results by index, stealing unstarted work
 //!   inline so it never idles.
-//! - [`Gather`] — a fan-out/fan-in cell: submit N tasks (a delivery burst
-//!   goes up as one [`Pool::submit_batch`]), then collect all N results
-//!   while helping the pool drain; only the completing task wakes the
-//!   waiter.
 
 mod gather;
 mod planner;
 mod pool;
 
-pub use gather::Gather;
+use gather::Gather;
 pub use planner::Planner;
 pub(crate) use pool::panic_message;
-pub use pool::{Pool, Task};
+pub use pool::Pool;

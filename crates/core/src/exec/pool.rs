@@ -19,22 +19,26 @@
 //! workers in O(log n) steals.
 //!
 //! Steal order never influences results: tasks communicate only through
-//! [`super::Gather`]/[`super::Planner`] slots, and the scheduling layer
-//! replays their effect logs in event order regardless of which thread
-//! produced them.
+//! [`Pool::fan_out`]'s result slots and [`super::Planner`] slots, and the
+//! scheduling layer replays their effect logs in event order regardless
+//! of which thread produced them.
 //!
 //! # Parking
 //!
 //! Idle workers park on a condvar behind a sleeper count; submitters skip
 //! the notify syscall entirely while every worker is busy (the common
-//! case mid-wave). [`Pool::submit_batch`] enqueues a whole delivery burst
-//! with one wake decision instead of one notify per task.
+//! case mid-wave). [`Pool::fan_out`] enqueues a whole batch with one wake
+//! decision instead of one notify per task.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::thread::Scope;
 use std::time::Duration;
+
+use opa_common::{Error, Result};
+
+use super::Gather;
 
 /// A unit of pool work: a boxed closure tied to the job-run scope.
 pub type Task<'env> = Box<dyn FnOnce() + Send + 'env>;
@@ -108,43 +112,38 @@ impl<'env> Pool<'env> {
         self.wake(1);
     }
 
-    /// Enqueues a whole batch with a single wake decision. Order within
-    /// the batch is preserved per deque (round-robin deal), which keeps
-    /// the oldest tasks globally near every deque front.
-    pub fn submit_batch(&self, tasks: Vec<Task<'env>>) {
+    /// Runs one task per item and returns the results in item order.
+    /// Every task but the last goes to the pool as one batch, dealt
+    /// round-robin with a single wake decision, and the caller runs the
+    /// last one itself: no handoff for a one-task batch, and the caller
+    /// stays busy instead of waiting. It then helps the pool drain until
+    /// every result is in. With no workers every task runs inline, in
+    /// order, without being boxed.
+    ///
+    /// A task that panics becomes [`Error::Panicked`]. On the pool the
+    /// other tasks still run to completion; inline, the run stops there.
+    pub fn fan_out<T, F>(&self, mut tasks: Vec<F>) -> Result<Vec<T>>
+    where
+        T: Send + 'env,
+        F: FnOnce() -> T + Send + 'env,
+    {
         if self.workers == 0 {
-            for task in tasks {
-                task();
-            }
-            return;
+            return tasks.into_iter().map(caught).collect();
         }
+        let Some(last) = tasks.pop() else {
+            return Ok(Vec::new());
+        };
         let n = tasks.len();
-        for task in tasks {
-            self.enqueue(task);
+        let gather = Gather::new(n);
+        for (slot, task) in tasks.into_iter().enumerate() {
+            let g = gather.clone();
+            self.enqueue(Box::new(move || g.put(slot, caught(task))));
         }
         self.wake(n);
-    }
-
-    /// Runs a batch: every task but the last goes to the pool through
-    /// [`Pool::submit_batch`], and the caller runs the last one itself —
-    /// no handoff for a one-task batch, and the caller stays busy
-    /// instead of waiting. With no workers every task runs inline, in
-    /// order, without being boxed.
-    pub fn run_batch<F: FnOnce() + Send + 'env>(&self, mut tasks: Vec<F>) {
-        let last = tasks.pop();
-        if self.workers == 0 {
-            tasks.into_iter().for_each(|task| task());
-        } else {
-            self.submit_batch(
-                tasks
-                    .into_iter()
-                    .map(|t| Box::new(t) as Task<'env>)
-                    .collect(),
-            );
-        }
-        if let Some(task) = last {
-            task();
-        }
+        let last = caught(last);
+        let mut out = gather.wait(self).into_iter().collect::<Result<Vec<T>>>()?;
+        out.push(last?);
+        Ok(out)
     }
 
     fn enqueue(&self, task: Task<'env>) {
@@ -263,6 +262,12 @@ fn grab<'env>(sh: &Shared<'env>, me: usize) -> Option<Task<'env>> {
     None
 }
 
+/// Runs `task`, turning a panic into [`Error::Panicked`].
+fn caught<T>(task: impl FnOnce() -> T) -> Result<T> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(task))
+        .map_err(|payload| Error::panicked(panic_message(payload.as_ref())))
+}
+
 /// The message of a caught panic payload.
 pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
     payload
@@ -338,28 +343,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_submission_completes_every_task() {
-        let hits = AtomicUsize::new(0);
-        std::thread::scope(|s| {
-            let pool = Pool::new(s, 2);
-            let tasks: Vec<Task<'_>> = (0..100)
-                .map(|_| {
-                    Box::new(|| {
-                        hits.fetch_add(1, Ordering::SeqCst);
-                    }) as Task<'_>
-                })
-                .collect();
-            pool.submit_batch(tasks);
-            while hits.load(Ordering::SeqCst) < 100 {
-                if !pool.try_run_one() {
-                    std::thread::sleep(Duration::from_millis(1));
-                }
-            }
-        });
-        assert_eq!(hits.load(Ordering::SeqCst), 100);
-    }
-
-    #[test]
     fn stealing_rebalances_a_lopsided_backlog() {
         // One slow task occupies its worker while many quick tasks queue
         // up round-robin behind it; idle workers must steal the backlog
@@ -396,6 +379,63 @@ mod tests {
             }
         });
         assert_eq!(done.load(Ordering::SeqCst), 64);
+    }
+
+    #[test]
+    fn fan_out_returns_results_in_item_order() {
+        let caller = std::thread::current().id();
+        for workers in [0, 3] {
+            std::thread::scope(|s| {
+                let pool = Pool::new(s, workers);
+                // Early items sleep longest, so on the pool they finish last.
+                let tasks: Vec<_> = (0..16u64)
+                    .map(|i| {
+                        move || {
+                            std::thread::sleep(Duration::from_micros((16 - i) * 200));
+                            (i, std::thread::current().id() == caller)
+                        }
+                    })
+                    .collect();
+                let out = pool.fan_out(tasks).unwrap();
+                assert!(out.iter().map(|o| o.0).eq(0..16));
+                if workers == 0 {
+                    assert!(out.iter().all(|o| o.1), "no workers: every task inline");
+                }
+                assert!(pool.fan_out(Vec::<fn() -> u8>::new()).unwrap().is_empty());
+            });
+        }
+    }
+
+    #[test]
+    fn fan_out_turns_a_task_panic_into_err() {
+        for workers in [0, 2] {
+            let ran = AtomicUsize::new(0);
+            std::thread::scope(|s| {
+                let pool = Pool::new(s, workers);
+                let tasks: Vec<_> = (0..8usize)
+                    .map(|i| {
+                        let ran = &ran;
+                        move || {
+                            if i == 3 {
+                                panic!("task {i} failed");
+                            }
+                            ran.fetch_add(1, Ordering::SeqCst);
+                        }
+                    })
+                    .collect();
+                match pool.fan_out(tasks) {
+                    Err(Error::Panicked(msg)) => assert_eq!(msg, "task 3 failed"),
+                    other => panic!("expected a panic error, got {other:?}"),
+                }
+                // A caught task panic leaves the pool usable.
+                pool.assert_healthy();
+                assert_eq!(pool.fan_out(vec![|| 7u8]).unwrap(), vec![7]);
+            });
+            // Inline, the run stops at the panic; on the pool, every
+            // other task still runs.
+            let others = if workers == 0 { 3 } else { 7 };
+            assert_eq!(ran.load(Ordering::SeqCst), others);
+        }
     }
 
     #[test]

@@ -32,7 +32,7 @@
 
 use crate::api::Job;
 use crate::cluster::{ClusterSpec, Framework};
-use crate::exec::{panic_message, Gather, Planner, Pool};
+use crate::exec::{panic_message, Planner, Pool};
 use crate::fault::{FaultPlan, MapFate};
 use crate::map_phase::{
     abort_map_task, compute_map_task, finish_map_task, straggle_map_task, Payload, PoisonGate,
@@ -1395,7 +1395,7 @@ fn run_loop(
                     // Drain the maximal run of consecutive deliveries:
                     // processing a delivery never schedules new events, so
                     // everything up to the next StartMap can be recorded as
-                    // one parallel batch without changing the pop order.
+                    // one batch without changing the pop order.
                     // The run stops early once a pause is due, so the loop
                     // top observes it; grouping deliveries differently is
                     // output- and metric-transparent, as effect logs carry
@@ -1428,12 +1428,14 @@ fn run_loop(
                     // reducers defer as before.
                     let mut order: Vec<(usize, SimTime)> = Vec::with_capacity(burst.len());
                     let mut mailboxes: Vec<(usize, Vec<(Payload, usize)>)> = Vec::new();
+                    let mut burst_bytes = 0u64;
                     for (t_ev, r, from, payload) in burst {
                         if !started[r] {
                             deferred[r].push((from, payload));
                             continue;
                         }
                         order.push((r, t_ev));
+                        burst_bytes += payload.bytes();
                         let slot = match mail_of[r] {
                             Some(s) => s,
                             None => {
@@ -1455,27 +1457,26 @@ fn run_loop(
                         continue;
                     }
 
-                    // Record every mailbox on the pool (inline when the
-                    // pool has no workers), then replay in pop order. The
-                    // burst goes up as one batch — a single wake decision
-                    // for the whole delivery run instead of one notify
-                    // per mailbox.
-                    let n_mail = mailboxes.len();
-                    let gather = Gather::new(n_mail);
-                    let mut mail_reducers: Vec<usize> = Vec::with_capacity(n_mail);
-                    let mut batch = Vec::with_capacity(n_mail);
-                    for (slot, (r, items)) in mailboxes.into_iter().enumerate() {
-                        mail_reducers.push(r);
-                        mail_of[r] = None;
-                        let rec = reducers[r].take().expect("reducer in place");
-                        let est = c.ready_at[r];
-                        let g = gather.clone();
-                        batch.push(move || {
-                            g.put(slot, record_mailbox(rec, items, est, spec));
-                        });
-                    }
-                    pool.run_batch(batch);
-                    for ((rec, logs), &r) in gather.wait(&pool).into_iter().zip(&mail_reducers) {
+                    // Record the mailboxes, then replay in pop order.
+                    // Recording is pure, so where it runs never shows in
+                    // the outcome. A burst below one map chunk records on
+                    // this thread: its mailboxes are microseconds of work,
+                    // less than a handoff to the pool costs.
+                    let tasks: Vec<_> = mailboxes
+                        .into_iter()
+                        .map(|(r, items)| {
+                            mail_of[r] = None;
+                            let rec = reducers[r].take().expect("reducer in place");
+                            let est = c.ready_at[r];
+                            move || (r, record_mailbox(rec, items, est, spec))
+                        })
+                        .collect();
+                    let recorded = if burst_bytes < spec.system.chunk_size {
+                        tasks.into_iter().map(|task| task()).collect()
+                    } else {
+                        pool.fan_out(tasks)?
+                    };
+                    for (r, (rec, logs)) in recorded {
                         reducers[r] = Some(rec);
                         log_q[r] = logs;
                     }
@@ -1545,20 +1546,19 @@ fn run_loop(
         // order (identical to the sequential engine's iteration order).
         let mut node_wave1_finish: Vec<Vec<SimTime>> = vec![Vec::new(); n_nodes];
         let wave1: Vec<usize> = (0..n_reducers).filter(|&r| started[r]).collect();
-        let gather = Gather::new(wave1.len());
-        let mut finish_batch = Vec::with_capacity(wave1.len());
-        for (slot, &r) in wave1.iter().enumerate() {
-            let mut rec = reducers[r].take().expect("reducer in place");
-            let est = c.ready_at[r].max(map_finish);
-            let g = gather.clone();
-            finish_batch.push(move || {
-                let mut env = ReduceEnv::new(spec);
-                rec.finish(est, &mut env);
-                g.put(slot, (rec, env.into_log()));
-            });
-        }
-        pool.run_batch(finish_batch);
-        for ((rec, log), &r) in gather.wait(&pool).into_iter().zip(&wave1) {
+        let finish_tasks: Vec<_> = wave1
+            .iter()
+            .map(|&r| {
+                let mut rec = reducers[r].take().expect("reducer in place");
+                let est = c.ready_at[r].max(map_finish);
+                move || {
+                    let mut env = ReduceEnv::new(spec);
+                    rec.finish(est, &mut env);
+                    (rec, env.into_log())
+                }
+            })
+            .collect();
+        for ((rec, log), &r) in pool.fan_out(finish_tasks)?.into_iter().zip(&wave1) {
             let t0 = c.ready_at[r].max(map_finish);
             let done = replay(log, t0, spec, target!(r));
             node_wave1_finish[reducer_node(r)].push(done);

@@ -11,6 +11,7 @@ use opa_common::{Key, Value};
 use opa_core::api::{Combiner, IncrementalReducer, Job, ReduceCtx};
 use opa_core::cluster::{ClusterSpec, Framework};
 use opa_core::job::{JobBuilder, JobInput};
+use opa_trace::{TraceEvent, TraceLog};
 
 /// Word-count-style job with a combiner and an incremental reducer, so
 /// every framework (sort-merge, hash, INC, DINC) has its natural path.
@@ -81,6 +82,18 @@ fn seeded_input(seed: u64, records: usize) -> JobInput {
                 line.extend_from_slice(format!("w{id}").as_bytes());
             }
             line
+        })
+        .collect();
+    JobInput::from_records(recs)
+}
+
+/// Records of four words drawn from `vocab(rng)`.
+fn words_input(seed: u64, records: usize, vocab: impl Fn(&mut SplitMix64) -> String) -> JobInput {
+    let mut rng = SplitMix64::new(seed);
+    let recs: Vec<Vec<u8>> = (0..records)
+        .map(|_| {
+            let words: Vec<String> = (0..4).map(|_| vocab(&mut rng)).collect();
+            words.join(" ").into_bytes()
         })
         .collect();
     JobInput::from_records(recs)
@@ -194,6 +207,93 @@ fn fault_injection_is_bit_identical_across_thread_counts() {
                 seq,
                 run_faulty(framework, threads),
                 "{framework:?} fault run diverged at {threads} threads"
+            );
+        }
+    }
+}
+
+/// Bounds on the payload bytes of a job's largest delivery burst, read
+/// from its trace. The loop's bursts are maximal runs of deliveries
+/// between two map starts, and events pop in time order: every burst
+/// arrives within a closed window between consecutive map-start times,
+/// and all deliveries strictly inside one window form a single burst.
+/// Returns `(lower, upper)`. Only first-wave reducers (below
+/// `wave1_reducers`) count, as the loop parks the others' deliveries.
+fn largest_burst_bounds(trace: &TraceLog, wave1_reducers: usize) -> (u64, u64) {
+    let mut starts: Vec<u64> = Vec::new();
+    let mut arrivals: Vec<(u64, u64)> = Vec::new();
+    for ev in &trace.events {
+        match *ev {
+            TraceEvent::MapStart { t, .. } => starts.push(t),
+            TraceEvent::Shuffle {
+                t, reducer, bytes, ..
+            } if (reducer as usize) < wave1_reducers => arrivals.push((t, bytes)),
+            _ => {}
+        }
+    }
+    starts.sort_unstable();
+    starts.dedup();
+    let edges: Vec<Option<u64>> = std::iter::once(None)
+        .chain(starts.into_iter().map(Some))
+        .chain(std::iter::once(None))
+        .collect();
+    let window_bytes = |a: Option<u64>, b: Option<u64>, closed: bool| -> u64 {
+        let after = |t: u64| a.is_none_or(|a| t > a || (closed && t == a));
+        let before = |t: u64| b.is_none_or(|b| t < b || (closed && t == b));
+        arrivals
+            .iter()
+            .filter(|&&(t, _)| after(t) && before(t))
+            .map(|&(_, bytes)| bytes)
+            .sum()
+    };
+    edges.windows(2).fold((0, 0), |(lo, hi), w| {
+        (
+            lo.max(window_bytes(w[0], w[1], false)),
+            hi.max(window_bytes(w[0], w[1], true)),
+        )
+    })
+}
+
+#[test]
+fn delivery_bursts_on_both_sides_of_the_inline_gate_are_bit_identical() {
+    // The loop records a delivery burst on the scheduler thread when its
+    // payload is below one map chunk and fans it out to the pool when it
+    // is not. On two nodes (eight map slots) the deliveries of successive
+    // map waves arrive as separate bursts. A combining count over eight
+    // words ships bursts far below a chunk; distinct 40-byte words ship
+    // more bytes than each map task read.
+    let below = words_input(0x5EED, 6000, |rng| format!("w{}", rng.next_below(8)));
+    let above = words_input(0xB16, 600, |rng| {
+        format!("w{:039}", rng.next_below(1 << 40))
+    });
+    let mut cluster = spec();
+    cluster.hardware.nodes = 2;
+    let wave1_reducers = cluster.hardware.nodes * cluster.hardware.reduce_slots;
+    let run_on = |threads: usize, input: &JobInput| {
+        JobBuilder::new(WordCount)
+            .framework(Framework::IncHash)
+            .cluster(cluster)
+            .exec(ExecConfig::oversubscribed(threads))
+            .trace(true)
+            .run(input)
+            .expect("job runs")
+    };
+    for (side, input) in [("below", &below), ("above", &above)] {
+        let seq = run_on(1, input);
+        // Each input must keep exercising its side of the gate.
+        let trace = seq.trace.as_ref().expect("traced run");
+        let (lower, upper) = largest_burst_bounds(trace, wave1_reducers);
+        let chunk = cluster.system.chunk_size;
+        match side {
+            "below" => assert!(upper < chunk, "a burst may reach {upper} B"),
+            _ => assert!(lower >= chunk, "no burst is known to reach one chunk"),
+        }
+        let seq = format!("{seq:?}");
+        for threads in [2, 4, 8] {
+            assert_eq!(
+                seq,
+                format!("{:?}", run_on(threads, input)),
+                "bursts {side} one chunk diverged at {threads} threads"
             );
         }
     }
